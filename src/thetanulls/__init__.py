@@ -7,15 +7,7 @@ unramified case (quadratic forms on the 2-torsion of the base), all in
 exact arithmetic over finite models.
 """
 
-from .gf2 import (
-    GF2Vector,
-    Subspace,
-    SymplecticSpace,
-    hyperbolic_complement,
-    pairing,
-    perp,
-    solve_linear,
-)
+from .gf2 import GF2Vector, SymplecticSpace, pairing
 from .quadforms import QuadraticForm, affine_difference, all_forms, arf_by_zero_count
 from .picard import (
     EllipticModel,
@@ -25,7 +17,6 @@ from .picard import (
     NoSquareRootError,
     NonHalvableError,
     RationalModel,
-    make_model,
 )
 from .ramified import (
     RamifiedCoverSpec,

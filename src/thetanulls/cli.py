@@ -33,13 +33,13 @@ class UsageError(Exception):
 
 def _emit(report: dict, args) -> None:
     text = dumps(report)
-    if args.pretty:
-        sys.stdout.write(render_pretty(report))
-    else:
-        sys.stdout.write(text)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.json_out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --json-out: {exc}") from exc
+    sys.stdout.write(render_pretty(report) if args.pretty else text)
 
 
 def _cmd_count(args) -> int:
@@ -56,10 +56,7 @@ def _cmd_count(args) -> int:
             "b": b,
             "r": r,
             "g": g,
-            "total": ramified.count_total(b, r),
-            "even": ramified.count_even(b, r),
-            "odd": ramified.count_odd(b, r),
-            "vanishing_lb": ramified.count_vanishing_lb(b, r),
+            **ramified.closed_form_counts(b, r),
             "asymptotic_ratio": ramified.asymptotic_ratio(b, r),
         }
         params = {"case": "ramified", "b": b, "r": r}
@@ -72,15 +69,7 @@ def _cmd_count(args) -> int:
         g = 2 * b - 1
         if g > MAX_GENUS:
             raise UsageError(f"genus {g} exceeds the supported bound {MAX_GENUS}")
-        results = {
-            "b": b,
-            "g": g,
-            "total": 1 << (g + 1),
-            "even": 3 * (1 << (g - 1)),
-            "odd": 1 << (g - 1),
-            "T_size": etale.count_vanishing(b),
-            "subspace_dim": g - 1,
-        }
+        results = {"b": b, "g": g, **etale.closed_form_counts(b), "subspace_dim": g - 1}
         params = {"case": "etale", "b": b}
         if args.rho is not None:
             try:
@@ -108,7 +97,12 @@ def _cmd_verify(args) -> int:
         kwargs = {"max_b": args.max_b if args.max_b_given else 5}
     elif args.suite == "oracle":
         kwargs = {"seed": args.seed}
-    checks = suite(**kwargs)
+    try:
+        checks = suite(**kwargs)
+    except ValueError as exc:
+        raise UsageError(f"bad bounds for --suite {args.suite}: {exc}") from exc
+    if not checks:
+        raise UsageError(f"--suite {args.suite} runs no checks with these bounds")
     passed = sum(1 for c in checks if c["pass"])
     report = build_report(
         "verify",
@@ -128,12 +122,18 @@ def _cmd_construct(args) -> int:
     elif args.target == "bielliptic-generic":
         if args.g is None:
             raise UsageError("bielliptic-generic requires --g")
-        certificate = count_vanishing_generic_bielliptic(args.g, N=args.N, seed=args.seed)
+        try:
+            certificate = count_vanishing_generic_bielliptic(args.g, N=args.N, seed=args.seed)
+        except ValueError as exc:
+            raise UsageError(f"bad --g: {exc}") from exc
         params = {"target": args.target, "g": args.g, "N": args.N, "seed": args.seed}
     else:
         if args.g is None:
             raise UsageError("hyperelliptic requires --g")
-        certificate = hyperelliptic_report(args.g)
+        try:
+            certificate = hyperelliptic_report(args.g)
+        except ValueError as exc:
+            raise UsageError(f"bad --g: {exc}") from exc
         params = {"target": args.target, "g": args.g}
     report = build_report("construct", params, certificate)
     _emit(report, args)

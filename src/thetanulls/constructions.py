@@ -26,9 +26,7 @@ from .ramified import (
     RamifiedCoverSpec,
     RamifiedThetaChar,
     canonicalize,
-    count_even,
-    count_odd,
-    count_total,
+    closed_form_counts,
     count_vanishing_lb,
     enumerate_theta_chars,
     h0_theta,
@@ -262,10 +260,7 @@ def hyperelliptic_report(g: int, enumerate_up_to: int = 5) -> dict:
         "b": 0,
         "r": r,
         "g": g,
-        "total": count_total(0, r),
-        "even": count_even(0, r),
-        "odd": count_odd(0, r),
-        "vanishing_lb": count_vanishing_lb(0, r),
+        **closed_form_counts(0, r),
         "enumerated": {
             "total": len(chars),
             "even": sum(1 for tc in chars if parity(spec, tc) == 0),

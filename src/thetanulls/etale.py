@@ -19,7 +19,6 @@ accidental vanishing on special bases is out of scope.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .gf2 import GF2Vector, SymplecticSpace, swap_pairs
@@ -70,11 +69,6 @@ class EtaleThetaChar:
     @property
     def is_root_case(self) -> bool:
         return self.root_label is not None
-
-
-def canonical_root(spec: EtaleCoverSpec, label: GF2Vector) -> EtaleThetaChar:
-    """Root-case representative: the smaller of the label and its twist."""
-    return EtaleThetaChar(root_label=min(label, label + spec.cover_class))
 
 
 def canonical_form(spec: EtaleCoverSpec, q: QuadraticForm) -> EtaleThetaChar:
@@ -132,6 +126,20 @@ def count_vanishing(b: int) -> int:
     return (1 << (b - 2)) * ((1 << (b - 1)) - 1)
 
 
+def closed_form_counts(b: int) -> dict:
+    """The closed-form counts of a cover, g = 2b - 1, in report order:
+    2^(g+1) characteristics, 3 * 2^(g-1) even, 2^(g-1) odd, and the
+    vanishing set."""
+    vanishing = count_vanishing(b)  # rejects b < 1
+    g = 2 * b - 1
+    return {
+        "total": 1 << (g + 1),
+        "even": 3 * (1 << (g - 1)),
+        "odd": 1 << (g - 1),
+        "T_size": vanishing,
+    }
+
+
 def even_subspace(spec: EtaleCoverSpec) -> list[EtaleThetaChar]:
     """The affine subspace {q(cover) = 0} of size 2^(g-1), all even; it
     contains every vanishing thetanull and is closed under triple
@@ -172,26 +180,3 @@ def triple_parity(
     step3 = affine_difference(q1, q3)
     return q1.translate(step2 + step3)(spec.cover_class)
 
-
-def etale_report(spec: EtaleCoverSpec, check_syzygies: bool = True) -> dict:
-    """Counts and structural checks for one cover, JSON-ready."""
-    chars = enumerate_etale(spec)
-    parities = [parity_etale(spec, tc) for tc in chars]
-    vanishing = vanishing_thetanulls(spec)
-    subspace = even_subspace(spec)
-    report = {
-        "b": spec.b,
-        "g": spec.g,
-        "total": len(chars),
-        "even": parities.count(0),
-        "odd": parities.count(1),
-        "T_size": len(vanishing),
-        "subspace_dim": spec.g - 1,
-        "subspace_size": len(subspace),
-    }
-    if check_syzygies:
-        report["syzygetic_ok"] = all(
-            triple_parity(spec, *triple) == 0
-            for triple in itertools.combinations(vanishing, 3)
-        )
-    return report

@@ -1,16 +1,16 @@
-"""Bit-packed linear and symplectic algebra over the two-element field.
+"""Bit-packed vectors and the symplectic pairing over the two-element field.
 
 Vectors live in GF(2)^(2n) with the hyperbolic basis ordered
 (a1, b1, a2, b2, ...).  In this order the pairing matrix is block
-diagonal, so pairing values and hyperbolic splits are index-local and a
-single machine word holds any vector of dimension up to 64.
+diagonal, so pairing values are index-local (a swap inside each pair)
+and a single machine word holds any vector of dimension up to 64.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 MAX_DIM = 64
 
@@ -50,20 +50,9 @@ class GF2Vector:
 
     __xor__ = __add__
 
-    def bit(self, index: int) -> int:
-        if not 0 <= index < self.dim:
-            raise IndexError(index)
-        return (self.bits >> index) & 1
-
     @property
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.dim) if (self.bits >> i) & 1)
 
     def to_bitstring(self) -> str:
         """Coordinates as a 0/1 string, first coordinate first."""
@@ -82,13 +71,6 @@ class GF2Vector:
     @classmethod
     def zero(cls, dim: int) -> "GF2Vector":
         return cls(0, dim)
-
-    @classmethod
-    def from_support(cls, dim: int, indices: Sequence[int]) -> "GF2Vector":
-        bits = 0
-        for i in indices:
-            bits ^= 1 << i
-        return cls(bits, dim)
 
     def __repr__(self) -> str:
         return f"GF2Vector('{self.to_bitstring()}')"
@@ -110,9 +92,6 @@ class SymplecticSpace:
 
     def zero(self) -> GF2Vector:
         return GF2Vector(0, self.dim)
-
-    def vector(self, bits: int) -> GF2Vector:
-        return GF2Vector(bits, self.dim)
 
     def basis_vector(self, index: int) -> GF2Vector:
         if not 0 <= index < self.dim:
@@ -142,189 +121,3 @@ def pairing(u: GF2Vector, v: GF2Vector) -> int:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
     return (u.bits & swap_pairs(v.bits, v.dim)).bit_count() & 1
 
-
-# --- row-echelon machinery on int-packed rows (bit j = column j) ---
-
-
-def gf2_row_reduce(rows: Sequence[int], dim: int) -> tuple[list[int], list[int]]:
-    """Reduced row-echelon form; returns (pivot rows, pivot columns)."""
-    work = list(rows)
-    pivots: list[int] = []
-    row = 0
-    for col in range(dim):
-        pivot = None
-        for k in range(row, len(work)):
-            if (work[k] >> col) & 1:
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        for k in range(len(work)):
-            if k != row and ((work[k] >> col) & 1):
-                work[k] ^= work[row]
-        pivots.append(col)
-        row += 1
-        if row == len(work):
-            break
-    return work[:row], pivots
-
-
-def gf2_rank(rows: Sequence[int], dim: int) -> int:
-    return len(gf2_row_reduce(rows, dim)[1])
-
-
-def gf2_nullspace(rows: Sequence[int], dim: int) -> list[int]:
-    """Deterministic nullspace basis, one vector per free column, ascending."""
-    reduced, pivots = gf2_row_reduce(rows, dim)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(dim):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for i, p in enumerate(pivots):
-            if (reduced[i] >> free) & 1:
-                vec |= 1 << p
-        basis.append(vec)
-    return basis
-
-
-def gf2_solve(rows: Sequence[int], rhs: Sequence[int], dim: int) -> int:
-    """Solve the linear system given by ``rows`` for one unknown word.
-
-    Free variables are set to zero; raises ValueError on an inconsistent
-    system.
-    """
-    augmented = [rows[i] | ((rhs[i] & 1) << dim) for i in range(len(rows))]
-    reduced, pivots = gf2_row_reduce(augmented, dim + 1)
-    if dim in pivots:
-        raise ValueError("inconsistent linear system")
-    solution = 0
-    for i, p in enumerate(pivots):
-        if (reduced[i] >> dim) & 1:
-            solution |= 1 << p
-    return solution
-
-
-def solve_linear(space: SymplecticSpace, values: Sequence[int]) -> GF2Vector:
-    """Vector v with e(v, e_i) = values[i] for every standard basis vector.
-
-    Nondegeneracy of the pairing makes v exist and be unique.
-    """
-    if len(values) != space.dim:
-        raise ValueError("need one value per basis vector")
-    rows = [swap_pairs(1 << i, space.dim) for i in range(space.dim)]
-    return GF2Vector(gf2_solve(rows, list(values), space.dim), space.dim)
-
-
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """Span of an ordered independent family inside a symplectic space."""
-
-    ambient: SymplecticSpace
-    basis: tuple[GF2Vector, ...]
-
-    def __post_init__(self) -> None:
-        for v in self.basis:
-            if v.dim != self.ambient.dim:
-                raise ValueError("basis vector outside the ambient space")
-        rows = [v.bits for v in self.basis]
-        if gf2_rank(rows, self.ambient.dim) != len(self.basis):
-            raise ValueError("basis vectors are not linearly independent")
-
-    @functools.cached_property
-    def _reduced(self) -> tuple[int, ...]:
-        # row-echelon form is a canonical representative of the span
-        return tuple(gf2_row_reduce([v.bits for v in self.basis], self.ambient.dim)[0])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient == other.ambient and self._reduced == other._reduced
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self._reduced))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def size(self) -> int:
-        return 1 << self.dim
-
-    def members(self) -> Iterator[GF2Vector]:
-        """All 2^dim elements of the span, zero vector first."""
-        for coeffs in range(1 << self.dim):
-            bits = 0
-            for i in range(self.dim):
-                if (coeffs >> i) & 1:
-                    bits ^= self.basis[i].bits
-            yield GF2Vector(bits, self.ambient.dim)
-
-    def contains(self, v: GF2Vector) -> bool:
-        rows = [w.bits for w in self.basis]
-        return gf2_rank(rows + [v.bits], self.ambient.dim) == len(self.basis)
-
-    @classmethod
-    def spanned_by(cls, ambient: SymplecticSpace, vectors: Sequence[GF2Vector]) -> "Subspace":
-        """Subspace spanned by arbitrary vectors, with a canonical reduced basis."""
-        rows, _ = gf2_row_reduce([v.bits for v in vectors], ambient.dim)
-        return cls(ambient, tuple(GF2Vector(r, ambient.dim) for r in rows))
-
-    @classmethod
-    def whole(cls, space: SymplecticSpace) -> "Subspace":
-        return cls(space, space.basis())
-
-
-def perp(subspace: Subspace) -> Subspace:
-    """Orthogonal complement {v : e(v, s) = 0 for all s in the subspace}."""
-    dim = subspace.ambient.dim
-    rows = [swap_pairs(v.bits, dim) for v in subspace.basis]
-    null = gf2_nullspace(rows, dim)
-    return Subspace(subspace.ambient, tuple(GF2Vector(bits, dim) for bits in null))
-
-
-def hyperbolic_complement(v: GF2Vector) -> GF2Vector:
-    """First standard basis vector (in basis order) pairing to 1 with ``v``.
-
-    Deterministic, so every enumeration built on it is reproducible.
-    """
-    if v.is_zero:
-        raise ValueError("the zero vector has no hyperbolic complement")
-    for i in range(v.dim):
-        e_i = GF2Vector(1 << i, v.dim)
-        if pairing(v, e_i):
-            return e_i
-    raise AssertionError("nondegenerate pairing must hit a basis vector")
-
-
-def symplectic_basis(subspace: Subspace) -> list[tuple[GF2Vector, GF2Vector]]:
-    """Split a subspace into hyperbolic pairs by pairing elimination.
-
-    Processes the given basis in order (ties broken by position), so the
-    output is deterministic.  Raises ValueError when the pairing is
-    degenerate on the subspace.
-    """
-    vecs = list(subspace.basis)
-    pairs: list[tuple[GF2Vector, GF2Vector]] = []
-    while vecs:
-        u = vecs.pop(0)
-        partner = None
-        for k, w in enumerate(vecs):
-            if pairing(u, w):
-                partner = k
-                break
-        if partner is None:
-            raise ValueError("pairing is degenerate on the subspace")
-        v = vecs.pop(partner)
-        reduced = []
-        for w in vecs:
-            if pairing(w, v):
-                w = w + u
-            if pairing(w, u):
-                w = w + v
-            reduced.append(w)
-        vecs = reduced
-        pairs.append((u, v))
-    return pairs

@@ -9,7 +9,8 @@ Three kinds of base:
   honest curve where halving never fails.
 * ``generic``  -- a parity-level model of a genus-b base: degree plus a
   2-torsion label in GF(2)^(2b).  Section counts in the critical degree
-  range are the general-position values and are flagged as such.
+  range are the general-position values, which ``ramified.h0_exact``
+  reports as not exact.
 """
 
 from __future__ import annotations
@@ -104,11 +105,6 @@ class BaseCurveModel:
         if cls.degree % 2:
             raise NoSquareRootError(f"degree {cls.degree} is odd")
         return self._roots(cls)
-
-    def h0_generic_position(self, cls: LineBundleClass) -> bool:
-        """Whether ``h0`` returned a general-position value rather than an
-        exact one."""
-        return False
 
     # subclass hooks
     def point_class(self, p) -> LineBundleClass:
@@ -253,16 +249,7 @@ class GenericModel(BaseCurveModel):
     def h0(self, cls: LineBundleClass) -> int:
         """General-position section count; exact outside 0 <= deg <= 2b-2."""
         self._check(cls)
-        d = cls.degree
-        if d < 0:
-            return 0
-        if d > 2 * self.genus - 2:
-            return d - self.genus + 1
-        return max(0, d - self.genus + 1)
-
-    def h0_generic_position(self, cls: LineBundleClass) -> bool:
-        self._check(cls)
-        return 0 <= cls.degree <= 2 * self.genus - 2
+        return max(0, cls.degree - self.genus + 1)
 
     def _make(self, degree: int, torsion) -> LineBundleClass:
         return LineBundleClass(GENERIC, degree, torsion=torsion)
@@ -284,14 +271,3 @@ class GenericModel(BaseCurveModel):
             self._make(half_degree, GF2Vector(bits, self.label_dim))
             for bits in range(1 << self.label_dim)
         )
-
-
-def make_model(kind: str, *, b: int = 0, N: int = 240) -> BaseCurveModel:
-    """Model factory used by the command-line layer."""
-    if kind == RATIONAL:
-        return RationalModel()
-    if kind == ELLIPTIC:
-        return EllipticModel(N)
-    if kind == GENERIC:
-        return GenericModel(b)
-    raise ValueError(f"unknown base-curve kind {kind!r}")

@@ -15,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import (
-    GF2Vector,
-    Subspace,
-    SymplecticSpace,
-    even_positions_mask,
-    swap_pairs,
-    symplectic_basis,
-)
+from .gf2 import GF2Vector, SymplecticSpace, even_positions_mask, swap_pairs
 
 VALUE_TABLE_MAX_DIM = 24
 
@@ -46,9 +39,6 @@ class QuadraticForm:
         cross = (v.bits & (v.bits >> 1) & even).bit_count()
         return (linear + cross) & 1
 
-    def value_on_basis(self, index: int) -> int:
-        return (self.basis_values >> index) & 1
-
     def arf(self) -> int:
         """Arf invariant as sum_i q(a_i) q(b_i) over the hyperbolic pairs."""
         bv = self.basis_values
@@ -59,22 +49,6 @@ class QuadraticForm:
         if alpha.dim != self.space.dim:
             raise ValueError("dimension mismatch")
         return QuadraticForm(self.space, self.basis_values ^ swap_pairs(alpha.bits, alpha.dim))
-
-    def restrict(self, subspace: Subspace) -> "QuadraticForm":
-        """Restriction to a subspace on which the pairing is nondegenerate.
-
-        The subspace is re-expressed in hyperbolic pairs (deterministically,
-        ties broken by basis order) and the result lives on a fresh space of
-        half that dimension.  When the ambient splits as S + S-perp the Arf
-        invariant is additive over the two restrictions.
-        """
-        pairs = symplectic_basis(subspace)
-        small = SymplecticSpace(len(pairs))
-        bv = 0
-        for i, (u, v) in enumerate(pairs):
-            bv |= self(u) << (2 * i)
-            bv |= self(v) << (2 * i + 1)
-        return QuadraticForm(small, bv)
 
 
 def all_forms(space: SymplecticSpace) -> Iterator[QuadraticForm]:

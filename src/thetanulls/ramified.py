@@ -259,6 +259,16 @@ def count_vanishing_lb(b: int, r: int) -> int:
     return value
 
 
+def closed_form_counts(b: int, r: int) -> dict:
+    """The four closed-form counts of a cover, in report order."""
+    return {
+        "total": count_total(b, r),
+        "even": count_even(b, r),
+        "odd": count_odd(b, r),
+        "vanishing_lb": count_vanishing_lb(b, r),
+    }
+
+
 def _gaussian_power(re: int, im: int, exponent: int) -> tuple[int, int]:
     out_re, out_im = 1, 0
     for _ in range(exponent):
@@ -309,31 +319,3 @@ def asymptotic_ratio(b: int, r: int) -> Fraction:
     exponent = 2 * b + 2 * r - 3
     return Fraction(count_vanishing_lb(b, r)) / Fraction(2) ** exponent
 
-
-def ramified_report(spec: RamifiedCoverSpec) -> dict:
-    """Closed-form and enumerated counts for one cover, JSON-ready."""
-    chars = enumerate_theta_chars(spec)
-    parities = [parity(spec, tc) for tc in chars]
-    even = parities.count(0)
-    enumerated_lb = sum(
-        1 for tc, p in zip(chars, parities) if p == 0 and tc.subset_size < spec.r
-    )
-    report = {
-        "b": spec.b,
-        "r": spec.r,
-        "g": spec.g,
-        "total": count_total(spec.b, spec.r),
-        "even": count_even(spec.b, spec.r),
-        "odd": count_odd(spec.b, spec.r),
-        "vanishing_lb": count_vanishing_lb(spec.b, spec.r),
-        "enumerated": {
-            "total": len(chars),
-            "even": even,
-            "odd": len(chars) - even,
-            "vanishing_lb": enumerated_lb,
-        },
-        "model": {"kind": spec.model.kind, "b": spec.b},
-    }
-    if spec.model.kind == ELLIPTIC:
-        report["model"]["N"] = spec.model.N
-    return report

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from thetanulls import verify
 from thetanulls.cli import main
 
 
@@ -71,6 +73,65 @@ def test_usage_errors_exit_2(capsys):
         main(["count", "--case", "etale", "--b", "2", "--rho", "0000"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        ("verify --suite identities --max-r 31", 2),
+        ("verify --suite identities --max-r 0", 2),
+        ("verify --suite counts --max-r 0", 2),
+        ("verify --suite counts --max-b -1", 2),
+        ("verify --suite syzygetic --max-b 1", 2),
+        ("construct hyperelliptic --g 1", 2),
+        ("construct bielliptic-generic --g 2", 2),
+        ("count --case etale --b 2 --json-out {missing}", 2),
+        ("count --case etale --b 2 --rho 0000", 2),
+        ("count --case etale --b 2 --rho 01", 2),
+        ("construct bielliptic-g6 --N 6", 3),
+        ("construct bielliptic-generic --g 3 --N 6", 3),
+    ],
+)
+def test_edge_inputs_keep_exit_code_contract(tmp_path, capsys, argv, expected):
+    # any exception other than SystemExit escaping main would be a traceback
+    args = argv.format(missing=tmp_path / "missing" / "x.json").split()
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    assert "error" in err
+
+
+def test_threads_clamped_to_cells_and_cpus(monkeypatch, capsys):
+    # a stand-in pool that records its size and runs in-process, so no
+    # worker is ever started whatever size is asked for
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    argv = ["verify", "--suite", "counts", "--max-b", "1", "--max-r", "3"]  # 6 cells
+    _, single = run_cli(capsys, *argv)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    for cpus, threads, expected in [(4, 100000, [4]), (64, 100000, [6]), (4, 3, [3]), (1, 8, []), (None, 8, [])]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        _, out = run_cli(capsys, *argv, "--threads", str(threads))
+        assert sizes == expected
+        assert out == single
 
 
 def test_model_error_exits_3(capsys):

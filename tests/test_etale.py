@@ -6,9 +6,9 @@ from thetanulls.etale import (
     EtaleCoverSpec,
     EtaleThetaChar,
     canonical_form,
+    closed_form_counts,
     count_vanishing,
     enumerate_etale,
-    etale_report,
     even_subspace,
     parity_etale,
     triple_parity,
@@ -72,6 +72,25 @@ def test_parity_counts_up_to_b6():
         parities = [parity_etale(spec, t) for t in enumerate_etale(spec)]
         assert parities.count(0) == 3 * (1 << (spec.g - 1))
         assert parities.count(1) == 1 << (spec.g - 1)
+
+
+def test_closed_form_counts_match_count_functions():
+    for b in range(1, 9):
+        counts = closed_form_counts(b)
+        assert list(counts) == ["total", "even", "odd", "T_size"]
+        assert counts["T_size"] == count_vanishing(b)
+        assert counts["even"] + counts["odd"] == counts["total"] == 1 << (2 * b)
+    for b in range(1, 5):
+        spec = EtaleCoverSpec.default(b)
+        parities = [parity_etale(spec, t) for t in enumerate_etale(spec)]
+        assert closed_form_counts(b) == {
+            "total": len(parities),
+            "even": parities.count(0),
+            "odd": parities.count(1),
+            "T_size": len(vanishing_thetanulls(spec)),
+        }
+    with pytest.raises(ValueError):
+        closed_form_counts(0)
 
 
 def test_vanishing_set_sizes():
@@ -174,18 +193,3 @@ def test_counts_independent_of_cover_class():
             if baseline is None:
                 baseline = summary
             assert summary == baseline
-
-
-def test_report_schema():
-    rep = etale_report(EtaleCoverSpec.default(3))
-    assert rep == {
-        "b": 3,
-        "g": 5,
-        "total": 64,
-        "even": 48,
-        "odd": 16,
-        "T_size": 6,
-        "subspace_dim": 4,
-        "subspace_size": 16,
-        "syzygetic_ok": True,
-    }

@@ -11,7 +11,6 @@ from thetanulls.picard import (
     NonHalvableError,
     NoSquareRootError,
     RationalModel,
-    make_model,
 )
 
 
@@ -85,11 +84,11 @@ def test_h0_generic_and_flag():
     m = GenericModel(3)
     assert m.h0(LineBundleClass("generic", -1, torsion=GF2Vector.zero(6))) == 0
     low = LineBundleClass("generic", 2, torsion=GF2Vector.zero(6))
-    assert m.h0(low) == 0 and m.h0_generic_position(low)
+    assert m.h0(low) == 0
     mid = LineBundleClass("generic", 3, torsion=GF2Vector.zero(6))
-    assert m.h0(mid) == 1 and m.h0_generic_position(mid)
+    assert m.h0(mid) == 1
     high = LineBundleClass("generic", 5, torsion=GF2Vector.zero(6))
-    assert m.h0(high) == 3 and not m.h0_generic_position(high)
+    assert m.h0(high) == 3
 
 
 def test_sqrt_rational():
@@ -141,14 +140,6 @@ def test_elliptic_modulus_must_be_multiple_of_four():
         EllipticModel(238)
     with pytest.raises(ModelError):
         GenericModel(1)
-
-
-def test_make_model():
-    assert make_model("rational").kind == "rational"
-    assert make_model("elliptic", N=16).N == 16
-    assert make_model("generic", b=4).b == 4
-    with pytest.raises(ValueError):
-        make_model("weird")
 
 
 def test_class_json():

@@ -2,15 +2,7 @@ import random
 
 import pytest
 
-from thetanulls.gf2 import (
-    GF2Vector,
-    Subspace,
-    SymplecticSpace,
-    hyperbolic_complement,
-    pairing,
-    perp,
-    solve_linear,
-)
+from thetanulls.gf2 import GF2Vector, SymplecticSpace, pairing
 from thetanulls.quadforms import (
     QuadraticForm,
     affine_difference,
@@ -181,73 +173,11 @@ def test_affine_action_simply_transitive():
 
 
 def test_affine_difference_round_trip():
-    V = SymplecticSpace(3)
-    q1 = QuadraticForm(V, 0b110100)
-    assert affine_difference(q1, q1).is_zero
-    assert affine_difference(q1, q1.translate(V.a(0))) == V.a(0)
-    for q2 in all_forms(V):
-        v = affine_difference(q1, q2)
-        assert q1.translate(v) == q2
-
-
-def test_affine_difference_matches_general_solver():
-    # independent route: solve e(v, e_i) = q1(e_i) + q2(e_i) by elimination
+    # translation is simply transitive, so q1.translate(v) == q2 pins v
     V = SymplecticSpace(3)
     forms = list(all_forms(V))
-    for q1 in forms[:16]:
+    for q1 in forms:
+        assert affine_difference(q1, q1).is_zero
+        assert affine_difference(q1, q1.translate(V.a(0))) == V.a(0)
         for q2 in forms:
-            values = [
-                q1.value_on_basis(i) ^ q2.value_on_basis(i) for i in range(V.dim)
-            ]
-            assert affine_difference(q1, q2) == solve_linear(V, values)
-
-
-def test_restrict_whole_space_is_identity():
-    V = SymplecticSpace(2)
-    for q in all_forms(V):
-        assert q.restrict(Subspace.whole(V)) == q
-
-
-def test_restrict_arf_additivity_dim4():
-    V = SymplecticSpace(2)
-    S = Subspace(V, (V.a(0), V.b(0)))
-    C = perp(S)
-    for q in all_forms(V):
-        assert q.arf() == q.restrict(S).arf() ^ q.restrict(C).arf()
-
-
-def test_restrict_arf_additivity_random_planes_dim6():
-    rng = random.Random(5)
-    V = SymplecticSpace(3)
-    planes = 0
-    while planes < 10:
-        u = GF2Vector(rng.randrange(1, 64), 6)
-        w = GF2Vector(rng.randrange(1, 64), 6)
-        if u == w or pairing(u, w) == 0:
-            continue
-        planes += 1
-        S = Subspace(V, (u, w))
-        C = perp(S)
-        for q in all_forms(V):
-            assert q.arf() == q.restrict(S).arf() ^ q.restrict(C).arf()
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_restrict_plane_arf_is_product_of_values(n):
-    # on the plane spanned by rho and its complement, Arf(q|P) = q(rho) q(rho')
-    V = SymplecticSpace(n)
-    for rho_bits in range(1, 1 << V.dim):
-        rho = GF2Vector(rho_bits, V.dim)
-        rho2 = hyperbolic_complement(rho)
-        P = Subspace(V, (rho, rho2))
-        for q in all_forms(V):
-            assert q.restrict(P).arf() == q(rho) & q(rho2)
-            if q(rho) == 0:
-                assert q.restrict(P).arf() == 0
-
-
-def test_restrict_degenerate_raises():
-    V = SymplecticSpace(2)
-    q = QuadraticForm(V, 0)
-    with pytest.raises(ValueError):
-        q.restrict(Subspace(V, (V.a(0), V.a(1))))
+            assert q1.translate(affine_difference(q1, q2)) == q2

@@ -10,6 +10,7 @@ from thetanulls.ramified import (
     asymptotic_ratio,
     binomial_identity_check,
     canonicalize,
+    closed_form_counts,
     count_even,
     count_odd,
     count_total,
@@ -21,7 +22,6 @@ from thetanulls.ramified import (
     is_canonical,
     is_vanishing,
     parity,
-    ramified_report,
     swap_representation,
 )
 
@@ -126,6 +126,19 @@ def test_count_vanishing_instances():
     assert count_vanishing_lb(1, 2) == 0
 
 
+def test_closed_form_counts_match_count_functions():
+    for b in range(4):
+        for r in range(1, 8):
+            assert list(closed_form_counts(b, r).items()) == [
+                ("total", count_total(b, r)),
+                ("even", count_even(b, r)),
+                ("odd", count_odd(b, r)),
+                ("vanishing_lb", count_vanishing_lb(b, r)),
+            ]
+    with pytest.raises(ValueError):
+        closed_form_counts(0, 0)
+
+
 def test_counts_match_enumeration_small():
     for b in (0, 1, 2):
         for r in (1, 2, 3, 4):
@@ -166,11 +179,3 @@ def test_asymptotic_ratio_independent_of_base_genus():
     for r in (1, 2, 5, 9):
         values = {asymptotic_ratio(b, r) for b in range(5)}
         assert len(values) == 1
-
-
-def test_report_schema():
-    rep = ramified_report(sample_bielliptic_spec(3, seed=0))
-    assert rep["total"] == rep["enumerated"]["total"] == 64
-    assert rep["even"] == rep["enumerated"]["even"]
-    assert rep["vanishing_lb"] == rep["enumerated"]["vanishing_lb"]
-    assert rep["model"] == {"kind": "elliptic", "b": 1, "N": 240}
