@@ -9,6 +9,7 @@ error, 3 model error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 
@@ -26,6 +27,9 @@ from .verify import SUITES
 
 MAX_GENUS = 46
 
+# verify flags; each suite takes the ones its signature names, with its own defaults
+VERIFY_FLAGS = ("max_b", "max_r", "seed", "threads")
+
 
 class UsageError(Exception):
     pass
@@ -33,9 +37,9 @@ class UsageError(Exception):
 
 def _emit(report: dict, args) -> None:
     text = dumps(report)
-    if args.json_out:
+    if args.json_file:
         try:
-            with open(args.json_out, "w") as fh:
+            with args.json_file as fh:
                 fh.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write --json-out: {exc}") from exc
@@ -46,6 +50,8 @@ def _cmd_count(args) -> int:
     if args.case == "ramified":
         if args.r is None:
             raise UsageError("--case ramified requires --r")
+        if args.rho is not None:
+            raise UsageError("--case ramified takes no --rho")
         b, r = args.b, args.r
         if b < 0 or r < 1:
             raise UsageError("need --b >= 0 and --r >= 1")
@@ -86,17 +92,11 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = SUITES[args.suite]
-    kwargs = {}
-    if args.suite == "counts":
-        kwargs = {"max_b": args.max_b, "max_r": args.max_r, "seed": args.seed, "threads": args.threads}
-    elif args.suite == "identities":
-        kwargs = {"max_r": args.max_r if args.max_r_given else 30}
-    elif args.suite == "etale":
-        kwargs = {"max_b": args.max_b if args.max_b_given else 6, "threads": args.threads}
-    elif args.suite == "syzygetic":
-        kwargs = {"max_b": args.max_b if args.max_b_given else 5}
-    elif args.suite == "oracle":
-        kwargs = {"seed": args.seed}
+    defaults = {k: p.default for k, p in inspect.signature(suite).parameters.items() if k in VERIFY_FLAGS}
+    unused = [f"--{k.replace('_', '-')}" for k in VERIFY_FLAGS if getattr(args, k) is not None and k not in defaults]
+    if unused:
+        raise UsageError(f"--suite {args.suite} takes no {' '.join(unused)}")
+    kwargs = {k: default if getattr(args, k) is None else getattr(args, k) for k, default in defaults.items()}
     try:
         checks = suite(**kwargs)
     except ValueError as exc:
@@ -162,10 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="enumeration-vs-formula and oracle suites")
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p_verify.add_argument("--max-b", type=int, default=3)
-    p_verify.add_argument("--max-r", type=int, default=6)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--threads", type=int, default=1, help="worker processes for independent cells")
+    p_verify.add_argument("--max-b", type=int, default=None)
+    p_verify.add_argument("--max-r", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--threads", type=int, default=None, help="worker processes for independent cells")
     common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -182,13 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    raw = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(raw)
-    # remember which bounds were given explicitly: suites have their own defaults
-    args.max_b_given = any(a.startswith("--max-b") for a in raw)
-    args.max_r_given = any(a.startswith("--max-r") for a in raw)
-    if getattr(args, "threads", 1) < 1:
+    args = parser.parse_args(argv)
+    if getattr(args, "threads", None) is not None and args.threads < 1:
         parser.error("--threads must be at least 1")
+    # open --json-out before the work starts, so a bad path costs nothing
+    try:
+        args.json_file = open(args.json_out, "w") if args.json_out else None
+    except OSError as exc:
+        parser.error(f"cannot write --json-out: {exc}")
     started = time.monotonic()
     try:
         code = args.func(args)
@@ -198,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if args.json_file:
+            args.json_file.close()
     print(f"elapsed_ms={int(1000 * (time.monotonic() - started))}", file=sys.stderr)
     return code
 

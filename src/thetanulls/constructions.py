@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .picard import EllipticModel, LineBundleClass, ModelError
+from .picard import ELLIPTIC, BaseCurveModel, EllipticModel, LineBundleClass, ModelError
 from .ramified import (
     RamifiedCoverSpec,
     RamifiedThetaChar,
@@ -55,7 +55,7 @@ class BiellipticGenus6:
     pair_3, triple, base point.
     """
 
-    model: EllipticModel
+    model: BaseCurveModel
     seed: int
     base_point: Point
     pencil_point: Point  # Abel-Jacobi coordinate of the degree-2 pencil class
@@ -64,7 +64,7 @@ class BiellipticGenus6:
 
     @property
     def pencil_class(self) -> LineBundleClass:
-        return LineBundleClass("elliptic", 2, self.pencil_point)
+        return LineBundleClass(ELLIPTIC, 2, self.pencil_point)
 
     @property
     def branch_points(self) -> tuple[Point, ...]:
@@ -77,9 +77,9 @@ class BiellipticGenus6:
 
     @property
     def cover_class(self) -> LineBundleClass:
-        N = self.model.N
+        N = self.model.moduli[0]
         doubled = _add(self.pencil_point, self.pencil_point, N)
-        return LineBundleClass("elliptic", 5, _add(doubled, self.base_point, N))
+        return LineBundleClass(ELLIPTIC, 5, _add(doubled, self.base_point, N))
 
     def spec(self) -> RamifiedCoverSpec:
         return RamifiedCoverSpec.elliptic(self.model, self.branch_points, self.cover_class)
@@ -96,7 +96,7 @@ class BiellipticGenus6:
 
     def to_json(self) -> dict:
         return {
-            "N": self.model.N,
+            "N": self.model.moduli[0],
             "seed": self.seed,
             "base_point": list(self.base_point),
             "pencil_point": list(self.pencil_point),
@@ -210,7 +210,7 @@ def sample_bielliptic_spec(r: int, N: int = 240, seed: int = 0, max_attempts: in
             continue
         sx = sum(p[0] for p in points)
         sy = sum(p[1] for p in points)
-        cover = LineBundleClass("elliptic", r, ((sx // 2) % N, (sy // 2) % N))
+        cover = LineBundleClass(ELLIPTIC, r, ((sx // 2) % N, (sy // 2) % N))
         return RamifiedCoverSpec.elliptic(model, tuple(points), cover)
     raise ModelError(
         f"could not sample {2 * r} distinct branch points in {max_attempts} attempts; "
@@ -267,7 +267,7 @@ def hyperelliptic_report(g: int, enumerate_up_to: int = 5) -> dict:
             "odd": sum(1 for tc in chars if parity(spec, tc) == 1),
             "vanishing": len(vanishing),
         },
-        "model": {"kind": "rational", "b": 0},
+        "model": {"kind": spec.model.kind, "b": spec.b},
     }
     if g <= enumerate_up_to:
         report["characters"] = [

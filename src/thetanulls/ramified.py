@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .picard import (
@@ -29,7 +30,6 @@ from .picard import (
     GENERIC,
     RATIONAL,
     BaseCurveModel,
-    EllipticModel,
     GenericModel,
     LineBundleClass,
     ModelError,
@@ -53,16 +53,19 @@ class RamifiedCoverSpec:
             raise ValueError(f"expected {2 * self.r} branch points, got {len(self.branch_points)}")
         if self.cover_class.degree != self.r:
             raise ValueError("the cover class must have degree r")
-        self.model._check(self.cover_class)
-        if self.model.kind == ELLIPTIC:
-            for p in self.branch_points:
-                if not self.model.is_even_point(p):
-                    raise ModelError(f"branch point {p} lies outside the even sublattice")
-            if not self.model.is_even_point(self.cover_class.point):
-                raise ModelError("the cover class must have even coordinates")
-            square = self.model.tensor(self.cover_class, self.cover_class)
-            if square != self.model.of_divisor(self.branch_points):
-                raise ModelError("the cover class squared must be the branch divisor class")
+        for p, cls in zip(self.branch_points, self.point_classes):
+            if any(t % 2 for t in cls.torsion):
+                raise ModelError(f"branch point {p} lies outside the even sublattice")
+        square = self.model.tensor(self.cover_class, self.cover_class)
+        if any(t % 2 for t in self.cover_class.torsion):
+            raise ModelError("the cover class must have even coordinates")
+        if square != self.divisor_class(self.full_mask):
+            raise ModelError("the cover class squared must be the branch divisor class")
+
+    @cached_property
+    def point_classes(self) -> tuple[LineBundleClass, ...]:
+        """The branch points' classes, built once per spec."""
+        return tuple(self.model.point_class(p) for p in self.branch_points)
 
     @property
     def b(self) -> int:
@@ -85,20 +88,21 @@ class RamifiedCoverSpec:
     def generic(cls, b: int, r: int) -> "RamifiedCoverSpec":
         """Parity-level data over a generic genus-b base."""
         model = GenericModel(b)
-        cover = LineBundleClass(GENERIC, r, torsion=model._zero_torsion())
+        cover = LineBundleClass(GENERIC, r, model.trivial().torsion)
         return cls(model, r, tuple(range(2 * r)), cover)
 
     @classmethod
     def elliptic(
-        cls, model: EllipticModel, points: tuple, cover_class: LineBundleClass
+        cls, model: BaseCurveModel, points: tuple, cover_class: LineBundleClass
     ) -> "RamifiedCoverSpec":
         return cls(model, len(points) // 2, tuple(points), cover_class)
 
-    def subset_points(self, mask: int) -> tuple:
-        return tuple(p for i, p in enumerate(self.branch_points) if (mask >> i) & 1)
-
     def divisor_class(self, mask: int) -> LineBundleClass:
-        return self.model.of_divisor(self.subset_points(mask))
+        result = self.model.trivial()
+        for i, cls in enumerate(self.point_classes):
+            if (mask >> i) & 1:
+                result = self.model.tensor(result, cls)
+        return result
 
     def square_target(self, mask: int) -> LineBundleClass:
         """The class K_B (x) rho (-subset) that the bundle must square to."""
@@ -180,12 +184,12 @@ def parity(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> int:
 def h0_theta(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> int:
     """Section count h^0(L) + h^0(K_B (x) L^{-1}).
 
-    Exact on rational and elliptic models; on the generic model it is the
-    general-position value (a lower bound for special bundles).
+    Riemann-Roch gives h^0(K_B (x) L^{-1}) = h^0(L) - (deg L - b + 1), so
+    the count is read off h^0(L) alone.  Exact on rational and elliptic
+    models; on the generic model it is the general-position value (a
+    lower bound for special bundles), for which the same identity holds.
     """
-    m = spec.model
-    dual = m.tensor(m.canonical_class(), m.inverse(tc.bundle))
-    return m.h0(tc.bundle) + m.h0(dual)
+    return 2 * spec.model.h0(tc.bundle) - (tc.bundle.degree - spec.b + 1)
 
 
 def h0_theta_decomposed(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from thetanulls import verify
 from thetanulls.cli import main
+from thetanulls.report import check
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +84,10 @@ def test_usage_errors_exit_2(capsys):
         ("verify --suite counts --max-r 0", 2),
         ("verify --suite counts --max-b -1", 2),
         ("verify --suite syzygetic --max-b 1", 2),
+        ("verify --suite oracle --max-b 0", 2),
+        ("verify --suite identities --threads 2", 2),
+        ("verify --suite etale --seed 1", 2),
+        ("count --case ramified --b 0 --r 2 --rho 01", 2),
         ("construct hyperelliptic --g 1", 2),
         ("construct bielliptic-generic --g 2", 2),
         ("count --case etale --b 2 --json-out {missing}", 2),
@@ -103,6 +108,21 @@ def test_edge_inputs_keep_exit_code_contract(tmp_path, capsys, argv, expected):
     assert code == expected
     assert "Traceback" not in err
     assert "error" in err
+
+
+def test_unwritable_json_out_refused_before_the_suite_runs(monkeypatch, capsys):
+    calls = []
+
+    def fake_counts(max_b=3, max_r=6, seed=0, threads=1):
+        calls.append(max_r)
+        return [check("fake", 0, 0)]
+
+    monkeypatch.setitem(verify.SUITES, "counts", fake_counts)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "counts", "--max-r", "7", "--json-out", "/"])
+    assert err.value.code == 2
+    assert calls == []
+    assert "--json-out" in capsys.readouterr().err
 
 
 def test_threads_clamped_to_cells_and_cpus(monkeypatch, capsys):

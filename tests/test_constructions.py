@@ -132,6 +132,6 @@ def test_sample_spec_even_cover_class():
     for seed in (0, 1, 2):
         for r in (2, 3, 5):
             spec = sample_bielliptic_spec(r, seed=seed)
-            x, y = spec.cover_class.point
+            x, y = spec.cover_class.torsion
             assert x % 2 == 0 and y % 2 == 0
             assert len(set(spec.branch_points)) == 2 * r

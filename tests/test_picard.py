@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from thetanulls.gf2 import GF2Vector
 from thetanulls.picard import (
     EllipticModel,
     GenericModel,
@@ -16,7 +15,7 @@ from thetanulls.picard import (
 
 def test_class_kind_fields_validated():
     with pytest.raises(ValueError):
-        LineBundleClass("rational", 1, point=(0, 0))
+        LineBundleClass("rational", 1, (0, 0))
     with pytest.raises(ValueError):
         LineBundleClass("elliptic", 1)
     with pytest.raises(ValueError):
@@ -32,7 +31,7 @@ def test_tensor_inverse_trivial():
 def test_elliptic_divisor_class():
     m = EllipticModel(240)
     c = m.of_divisor([(2, 0), (0, 2)])
-    assert c.degree == 2 and c.point == (2, 2)
+    assert c.degree == 2 and c.torsion == (2, 2)
 
 
 def test_cover_class_degree_from_pencil():
@@ -40,7 +39,7 @@ def test_cover_class_degree_from_pencil():
     m = EllipticModel(240)
     alpha = m.of_divisor([(2, 0), (0, 2)])
     rho = m.tensor(m.tensor(alpha, alpha), m.point_class((4, 4)))
-    assert rho.degree == 5 and rho.point == (8, 8)
+    assert rho.degree == 5 and rho.torsion == (8, 8)
 
 
 def test_kind_mismatch_raises():
@@ -82,12 +81,12 @@ def test_h0_elliptic_riemann_roch():
 
 def test_h0_generic_and_flag():
     m = GenericModel(3)
-    assert m.h0(LineBundleClass("generic", -1, torsion=GF2Vector.zero(6))) == 0
-    low = LineBundleClass("generic", 2, torsion=GF2Vector.zero(6))
+    assert m.h0(LineBundleClass("generic", -1, torsion=(0,) * 6)) == 0
+    low = LineBundleClass("generic", 2, torsion=(0,) * 6)
     assert m.h0(low) == 0
-    mid = LineBundleClass("generic", 3, torsion=GF2Vector.zero(6))
+    mid = LineBundleClass("generic", 3, torsion=(0,) * 6)
     assert m.h0(mid) == 1
-    high = LineBundleClass("generic", 5, torsion=GF2Vector.zero(6))
+    high = LineBundleClass("generic", 5, torsion=(0,) * 6)
     assert m.h0(high) == 3
 
 
@@ -101,18 +100,18 @@ def test_sqrt_rational():
 def test_sqrt_elliptic_two_torsion_order():
     m = EllipticModel(240)
     roots = m.sqrt_classes(m.trivial())
-    assert [r.point for r in roots] == [(0, 0), (120, 0), (0, 120), (120, 120)]
+    assert [r.torsion for r in roots] == [(0, 0), (120, 0), (0, 120), (120, 120)]
     with pytest.raises(NonHalvableError):
         m.sqrt_classes(LineBundleClass("elliptic", 2, (3, 0)))
 
 
 def test_sqrt_generic():
     m = GenericModel(2)
-    roots = m.sqrt_classes(LineBundleClass("generic", 6, torsion=GF2Vector.zero(4)))
+    roots = m.sqrt_classes(LineBundleClass("generic", 6, torsion=(0,) * 4))
     assert len(roots) == 16 and all(r.degree == 3 for r in roots)
     assert len({r.torsion for r in roots}) == 16
     with pytest.raises(NonHalvableError):
-        m.sqrt_classes(LineBundleClass("generic", 2, torsion=GF2Vector(1, 4)))
+        m.sqrt_classes(LineBundleClass("generic", 2, torsion=(1, 0, 0, 0)))
 
 
 @pytest.mark.parametrize(
@@ -120,7 +119,7 @@ def test_sqrt_generic():
     [
         (RationalModel(), LineBundleClass("rational", 6)),
         (EllipticModel(240), LineBundleClass("elliptic", 4, (10, 30))),
-        (GenericModel(2), LineBundleClass("generic", 4, torsion=GF2Vector.zero(4))),
+        (GenericModel(2), LineBundleClass("generic", 4, torsion=(0,) * 4)),
     ],
 )
 def test_sqrt_count_and_squares(model, cls):
@@ -148,3 +147,25 @@ def test_class_json():
     g = GenericModel(2)
     assert g.trivial().to_json() == {"kind": "generic", "degree": 0, "label": "0000"}
     assert RationalModel().trivial().to_json() == {"kind": "rational", "degree": 0}
+
+
+def test_random_group_laws_and_roots():
+    rng = random.Random(7)
+
+    def random_class(model, degree):
+        return LineBundleClass(model.kind, degree, tuple(rng.randrange(m) for m in model.moduli))
+
+    models = [RationalModel(), EllipticModel(240), EllipticModel(12)] + [GenericModel(b) for b in (2, 3, 4)]
+    for model in models:
+        for _ in range(50):
+            x, y, z = (random_class(model, rng.randrange(-8, 9)) for _ in range(3))
+            assert model.tensor(x, y) == model.tensor(y, x)
+            assert model.tensor(model.tensor(x, y), z) == model.tensor(x, model.tensor(y, z))
+            assert model.tensor(x, model.inverse(x)) == model.trivial()
+        for _ in range(5):
+            x = random_class(model, rng.randrange(-4, 5))
+            square = model.tensor(x, x)
+            roots = model.sqrt_classes(square)
+            assert len(roots) == len(set(roots)) == 1 << (2 * model.b)
+            assert x in roots
+            assert all(model.tensor(s, s) == square for s in roots)

@@ -94,8 +94,10 @@ def test_h0_routes_agree_and_match_parity():
     for spec in (
         RamifiedCoverSpec.rational(5),
         sample_bielliptic_spec(4, seed=3),
+        RamifiedCoverSpec.generic(2, 2),
+        RamifiedCoverSpec.generic(3, 3),
     ):
-        assert h0_exact(spec)
+        assert h0_exact(spec) == (spec.model.kind != "generic")
         for tc in enumerate_theta_chars(spec):
             h = h0_theta(spec, tc)
             assert h == h0_theta_decomposed(spec, tc)
