@@ -78,13 +78,18 @@ def _cmd_count(args) -> int:
         results = {"b": b, "g": g, **etale.closed_form_counts(b), "subspace_dim": g - 1}
         params = {"case": "etale", "b": b}
         if args.rho is not None:
+            if b > etale.MAX_ENUMERATION_B:
+                raise UsageError(
+                    f"--rho enumerates forms up to --b {etale.MAX_ENUMERATION_B}; "
+                    f"the closed-form counts without --rho run up to genus {MAX_GENUS}"
+                )
             try:
                 cover = GF2Vector.from_bitstring(args.rho)
                 spec = etale.EtaleCoverSpec(b, cover)
             except ValueError as exc:
                 raise UsageError(f"bad --rho: {exc}") from exc
             params["rho"] = cover.to_bitstring()
-            results["T_size_enumerated"] = len(etale.vanishing_thetanulls(spec))
+            results["T_size_enumerated"] = etale.count_vanishing_enumerated(spec)
     report = build_report("count", params, results)
     _emit(report, args)
     return 0

@@ -15,14 +15,23 @@ it sits inside the affine subspace {q(cover) = 0} of size 2^(g-1), all
 of whose members are even, and is syzygetic (triple products stay even).
 Only the generic vanishing mechanism (odd base bundle) is modelled;
 accidental vanishing on special bases is out of scope.
+
+Forms are enumerated and filtered as basis-value words; characteristic
+objects are built only for the words a caller receives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .gf2 import GF2Vector, SymplecticSpace, swap_pairs
-from .quadforms import QuadraticForm, affine_difference
+from .quadforms import QuadraticForm, _pair_parity, affine_difference
+
+# Largest base genus whose forms are enumerated on request: the count of
+# vanishing forms walks 2^(2b-1) canonical words, which took 1.1 s at
+# b = 11 (Python 3.11, 2-vCPU host) and takes four times that per genus.
+MAX_ENUMERATION_B = 11
 
 
 @dataclass(frozen=True)
@@ -77,22 +86,46 @@ def canonical_form(spec: EtaleCoverSpec, q: QuadraticForm) -> EtaleThetaChar:
     return EtaleThetaChar(form=min(q, q.translate(spec.cover_class), key=lambda f: f.basis_values))
 
 
+def _canonical_words(dim: int, translation: int) -> Iterator[int]:
+    """The words w < 2^dim with w < w ^ translation, in increasing order.
+
+    XOR with a nonzero translation flips its top bit, so w is the smaller
+    of the pair exactly when w has that bit clear: the canonical words are
+    runs of ``top`` consecutive words, one run in every ``2 * top``.
+    """
+    top = 1 << (translation.bit_length() - 1)
+    for start in range(0, 1 << dim, 2 * top):
+        yield from range(start, start + top)
+
+
+def _form_words(spec: EtaleCoverSpec, value: int | None = None, arf: int | None = None) -> Iterator[int]:
+    """Basis-value words of the canonical forms, in increasing order, with
+    q(cover) = value and Arf invariant ``arf`` where those are given."""
+    dim = 2 * spec.b
+    rho = spec.cover_class.bits
+    # q(cover) is the cover's cross term plus the sum of the basis values over its support
+    target = None if value is None else value ^ _pair_parity(rho)
+    for bv in _canonical_words(dim, swap_pairs(rho, dim)):
+        if target is not None and (bv & rho).bit_count() & 1 != target:
+            continue
+        if arf is not None and _pair_parity(bv) != arf:
+            continue
+        yield bv
+
+
+def _form_chars(spec: EtaleCoverSpec, words: Iterator[int]) -> list[EtaleThetaChar]:
+    space = spec.space
+    return [EtaleThetaChar(form=QuadraticForm(space, bv)) for bv in words]
+
+
 def enumerate_etale(spec: EtaleCoverSpec) -> list[EtaleThetaChar]:
     """All 2^(g+1) invariant theta characteristics, root cases first."""
     dim = 2 * spec.b
-    rho = spec.cover_class.bits
     out = [
         EtaleThetaChar(root_label=GF2Vector(bits, dim))
-        for bits in range(1 << dim)
-        if bits < bits ^ rho
+        for bits in _canonical_words(dim, spec.cover_class.bits)
     ]
-    shift = swap_pairs(rho, dim)
-    space = spec.space
-    out.extend(
-        EtaleThetaChar(form=QuadraticForm(space, bv))
-        for bv in range(1 << dim)
-        if bv < bv ^ shift
-    )
+    out.extend(_form_chars(spec, _form_words(spec)))
     return out
 
 
@@ -110,11 +143,12 @@ def vanishing_thetanulls(spec: EtaleCoverSpec) -> list[EtaleThetaChar]:
     preserves q(cover), and preserves the Arf invariant exactly when
     q(cover) = 0.  Empty for a genus-1 base.
     """
-    return [
-        tc
-        for tc in enumerate_etale(spec)
-        if not tc.is_root_case and tc.form(spec.cover_class) == 0 and tc.form.arf() == 1
-    ]
+    return _form_chars(spec, _form_words(spec, value=0, arf=1))
+
+
+def count_vanishing_enumerated(spec: EtaleCoverSpec) -> int:
+    """Size of ``vanishing_thetanulls(spec)``, counted on words."""
+    return sum(1 for _ in _form_words(spec, value=0, arf=1))
 
 
 def count_vanishing(b: int) -> int:
@@ -144,11 +178,7 @@ def even_subspace(spec: EtaleCoverSpec) -> list[EtaleThetaChar]:
     """The affine subspace {q(cover) = 0} of size 2^(g-1), all even; it
     contains every vanishing thetanull and is closed under triple
     products."""
-    return [
-        tc
-        for tc in enumerate_etale(spec)
-        if not tc.is_root_case and tc.form(spec.cover_class) == 0
-    ]
+    return _form_chars(spec, _form_words(spec, value=0))
 
 
 def _require_forms(*chars: EtaleThetaChar) -> list[QuadraticForm]:

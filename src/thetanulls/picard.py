@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 RATIONAL = "rational"
 ELLIPTIC = "elliptic"
@@ -96,13 +95,6 @@ class BaseCurveModel:
         if self.kind != ELLIPTIC:
             return LineBundleClass(self.kind, 1, (0,) * len(self.moduli))
         return LineBundleClass(self.kind, 1, tuple([c % m for c, m in zip(p, self.moduli)]))
-
-    def of_divisor(self, points: Iterable) -> LineBundleClass:
-        """Class of a sum of points; degree equals the number of points."""
-        result = self.trivial()
-        for p in points:
-            result = self.tensor(result, self.point_class(p))
-        return result
 
     def canonical_class(self) -> LineBundleClass:
         return LineBundleClass(self.kind, 2 * self.b - 2, (0,) * len(self.moduli))

@@ -15,9 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import GF2Vector, SymplecticSpace, even_positions_mask, swap_pairs
+from .gf2 import MAX_DIM, GF2Vector, SymplecticSpace, even_positions_mask, swap_pairs
 
 VALUE_TABLE_MAX_DIM = 24
+
+# the a-coordinates of every pair; bits above a word's dimension are clear
+_EVEN = even_positions_mask(MAX_DIM)
+
+
+def _pair_parity(word: int) -> int:
+    """sum_i w[2i] w[2i+1] mod 2 over the hyperbolic pairs of a word: the
+    cross term of a vector, and the Arf invariant of a basis-value word."""
+    return (word & (word >> 1) & _EVEN).bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -34,15 +43,11 @@ class QuadraticForm:
     def __call__(self, v: GF2Vector) -> int:
         if v.dim != self.space.dim:
             raise ValueError(f"dimension mismatch: {v.dim} vs {self.space.dim}")
-        even = even_positions_mask(v.dim)
-        linear = (self.basis_values & v.bits).bit_count()
-        cross = (v.bits & (v.bits >> 1) & even).bit_count()
-        return (linear + cross) & 1
+        return ((self.basis_values & v.bits).bit_count() & 1) ^ _pair_parity(v.bits)
 
     def arf(self) -> int:
         """Arf invariant as sum_i q(a_i) q(b_i) over the hyperbolic pairs."""
-        bv = self.basis_values
-        return (bv & (bv >> 1) & even_positions_mask(self.space.dim)).bit_count() & 1
+        return _pair_parity(self.basis_values)
 
     def translate(self, alpha: GF2Vector) -> "QuadraticForm":
         """The form x -> q(x) + e(alpha, x); the affine action of the space."""
@@ -84,12 +89,12 @@ def value_table(q: QuadraticForm) -> int:
     table = 0
     for j in range(dim):
         size = 1 << j
-        block = (1 << size) - 1
-        carry = block if (q.basis_values >> j) & 1 else 0
+        carry = (1 << size) - 1 if (q.basis_values >> j) & 1 else 0
         if j % 2 == 1:
             half = 1 << (j - 1)
             carry ^= ((1 << half) - 1) << half
-        table |= ((table ^ carry) & block) << size
+        # table and carry both lie below 2^size, so no mask is needed
+        table |= (table ^ carry) << size
     return table
 
 

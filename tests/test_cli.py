@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +94,7 @@ def test_usage_errors_exit_2(capsys):
         ("count --case etale --b 2 --json-out {missing}", 2),
         ("count --case etale --b 2 --rho 0000", 2),
         ("count --case etale --b 2 --rho 01", 2),
+        ("count --case etale --b 12 --rho 1" + "0" * 23, 2),
         ("construct bielliptic-g6 --N 6", 3),
         ("construct bielliptic-generic --g 3 --N 6", 3),
     ],
@@ -217,10 +219,14 @@ def test_pretty_renders_same_data(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package in the checkout's src, installed or not
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "thetanulls", "count", "--case", "etale", "--b", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["T_size"] == "1"

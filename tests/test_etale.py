@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from thetanulls.etale import (
     canonical_form,
     closed_form_counts,
     count_vanishing,
+    count_vanishing_enumerated,
     enumerate_etale,
     even_subspace,
     parity_etale,
@@ -193,3 +195,30 @@ def test_counts_independent_of_cover_class():
             if baseline is None:
                 baseline = summary
             assert summary == baseline
+
+
+def _cover_specs():
+    """Every nonzero cover class for b <= 3, and seeded ones for b = 4, 5."""
+    for b in (1, 2, 3):
+        for bits in range(1, 1 << (2 * b)):
+            yield EtaleCoverSpec(b, GF2Vector(bits, 2 * b))
+    rng = random.Random(2012)
+    for b in (4, 5):
+        for _ in range(8):
+            yield EtaleCoverSpec(b, GF2Vector(rng.randrange(1, 1 << (2 * b)), 2 * b))
+
+
+def test_word_filters_match_the_object_route():
+    for spec in _cover_specs():
+        rho = spec.cover_class
+        chars = enumerate_etale(spec)
+        roots = [tc.root_label for tc in chars if tc.is_root_case]
+        forms = [tc for tc in chars if not tc.is_root_case]
+        assert roots == sorted({min(v, v + rho) for v in spec.space.vectors()})
+        canonical = {canonical_form(spec, q) for q in all_forms(spec.space)}
+        assert forms == sorted(canonical, key=lambda tc: tc.form.basis_values)
+        even = [tc for tc in forms if tc.form(rho) == 0]
+        vanishing = [tc for tc in even if tc.form.arf() == 1]
+        assert even_subspace(spec) == even
+        assert vanishing_thetanulls(spec) == vanishing
+        assert count_vanishing_enumerated(spec) == len(vanishing)
