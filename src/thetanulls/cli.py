@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-b", type=int, default=None)
     p_verify.add_argument("--max-r", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--threads", type=int, default=None, help="worker processes for independent cells")
+    p_verify.add_argument("--threads", type=int, default=None, help="worker processes for the counts suite's cells")
     common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

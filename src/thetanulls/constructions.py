@@ -36,6 +36,9 @@ from .ramified import (
 
 Point = tuple[int, int]
 
+MAX_ATTEMPTS = 1000  # draws a sampler makes before it gives up
+LIST_CHARACTERS_MAX_G = 5  # hyperelliptic reports list characters up to here
+
 
 def _add(p: Point, q: Point, N: int) -> Point:
     return ((p[0] + q[0]) % N, (p[1] + q[1]) % N)
@@ -82,7 +85,7 @@ class BiellipticGenus6:
         return LineBundleClass(ELLIPTIC, 5, _add(doubled, self.base_point, N))
 
     def spec(self) -> RamifiedCoverSpec:
-        return RamifiedCoverSpec.elliptic(self.model, self.branch_points, self.cover_class)
+        return RamifiedCoverSpec(self.model, 5, self.branch_points, self.cover_class)
 
     def forced_subset_masks(self) -> list[int]:
         """Masks of pair_i + pair_j + base point, the three forced subsets."""
@@ -106,7 +109,7 @@ class BiellipticGenus6:
         }
 
 
-def build_bielliptic_genus6(N: int = 240, seed: int = 0, max_attempts: int = 1000) -> BiellipticGenus6:
+def build_bielliptic_genus6(N: int = 240, seed: int = 0) -> BiellipticGenus6:
     """Sample the tuned genus-6 branch data.
 
     Points are drawn from the even sublattice; the last point of each
@@ -115,7 +118,7 @@ def build_bielliptic_genus6(N: int = 240, seed: int = 0, max_attempts: int = 100
     """
     model = EllipticModel(N)
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         base = model.random_even_point(rng)
         pencil = model.random_even_point(rng)
         x1 = model.random_even_point(rng)
@@ -132,7 +135,7 @@ def build_bielliptic_genus6(N: int = 240, seed: int = 0, max_attempts: int = 100
             config.spec()  # runs the branch-data invariants
             return config
     raise ModelError(
-        f"could not sample 10 distinct construction points in {max_attempts} attempts; "
+        f"could not sample 10 distinct construction points in {MAX_ATTEMPTS} attempts; "
         "try a larger torsion modulus"
     )
 
@@ -189,7 +192,7 @@ def _char_json(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> dict:
     }
 
 
-def sample_bielliptic_spec(r: int, N: int = 240, seed: int = 0, max_attempts: int = 1000) -> RamifiedCoverSpec:
+def sample_bielliptic_spec(r: int, N: int = 240, seed: int = 0) -> RamifiedCoverSpec:
     """Unconstrained bielliptic branch data: 2r distinct even points.
 
     The coordinate sums are nudged to multiples of 4 (by adding 2 to the
@@ -200,7 +203,7 @@ def sample_bielliptic_spec(r: int, N: int = 240, seed: int = 0, max_attempts: in
         raise ValueError("need r >= 1")
     model = EllipticModel(N)
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         points = [model.random_even_point(rng) for _ in range(2 * r)]
         sx = sum(p[0] for p in points)
         sy = sum(p[1] for p in points)
@@ -211,9 +214,9 @@ def sample_bielliptic_spec(r: int, N: int = 240, seed: int = 0, max_attempts: in
         sx = sum(p[0] for p in points)
         sy = sum(p[1] for p in points)
         cover = LineBundleClass(ELLIPTIC, r, ((sx // 2) % N, (sy // 2) % N))
-        return RamifiedCoverSpec.elliptic(model, tuple(points), cover)
+        return RamifiedCoverSpec(model, r, tuple(points), cover)
     raise ModelError(
-        f"could not sample {2 * r} distinct branch points in {max_attempts} attempts; "
+        f"could not sample {2 * r} distinct branch points in {MAX_ATTEMPTS} attempts; "
         "try a larger torsion modulus"
     )
 
@@ -244,11 +247,11 @@ def count_vanishing_generic_bielliptic(g: int, N: int = 240, seed: int = 0) -> d
     }
 
 
-def hyperelliptic_report(g: int, enumerate_up_to: int = 5) -> dict:
+def hyperelliptic_report(g: int) -> dict:
     """Counts for the hyperelliptic specialization (rational base, r = g + 1).
 
-    For small genus the report also lists every characteristic with its
-    bundle degree, subset and section count.
+    Up to genus ``LIST_CHARACTERS_MAX_G`` the report also lists every
+    characteristic with its bundle degree, subset and section count.
     """
     if g < 2:
         raise ValueError("hyperelliptic curves start at genus 2")
@@ -269,7 +272,7 @@ def hyperelliptic_report(g: int, enumerate_up_to: int = 5) -> dict:
         },
         "model": {"kind": spec.model.kind, "b": spec.b},
     }
-    if g <= enumerate_up_to:
+    if g <= LIST_CHARACTERS_MAX_G:
         report["characters"] = [
             {
                 "bundle_degree": tc.bundle.degree,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator
 
 MAX_DIM = 64
 
@@ -68,10 +67,6 @@ class GF2Vector:
                 bits |= 1 << i
         return cls(bits, len(text))
 
-    @classmethod
-    def zero(cls, dim: int) -> "GF2Vector":
-        return cls(0, dim)
-
     def __repr__(self) -> str:
         return f"GF2Vector('{self.to_bitstring()}')"
 
@@ -89,30 +84,6 @@ class SymplecticSpace:
     @property
     def dim(self) -> int:
         return 2 * self.n
-
-    def zero(self) -> GF2Vector:
-        return GF2Vector(0, self.dim)
-
-    def basis_vector(self, index: int) -> GF2Vector:
-        if not 0 <= index < self.dim:
-            raise IndexError(index)
-        return GF2Vector(1 << index, self.dim)
-
-    def a(self, i: int) -> GF2Vector:
-        """i-th isotropic basis vector (0-based); sits at coordinate 2i."""
-        return self.basis_vector(2 * i)
-
-    def b(self, i: int) -> GF2Vector:
-        """Hyperbolic partner of ``a(i)``; sits at coordinate 2i + 1."""
-        return self.basis_vector(2 * i + 1)
-
-    def basis(self) -> tuple[GF2Vector, ...]:
-        return tuple(self.basis_vector(i) for i in range(self.dim))
-
-    def vectors(self) -> Iterator[GF2Vector]:
-        """All 2^(2n) vectors, in increasing word order."""
-        for bits in range(1 << self.dim):
-            yield GF2Vector(bits, self.dim)
 
 
 def pairing(u: GF2Vector, v: GF2Vector) -> int:

@@ -91,12 +91,6 @@ class RamifiedCoverSpec:
         cover = LineBundleClass(GENERIC, r, model.trivial().torsion)
         return cls(model, r, tuple(range(2 * r)), cover)
 
-    @classmethod
-    def elliptic(
-        cls, model: BaseCurveModel, points: tuple, cover_class: LineBundleClass
-    ) -> "RamifiedCoverSpec":
-        return cls(model, len(points) // 2, tuple(points), cover_class)
-
     def divisor_class(self, mask: int) -> LineBundleClass:
         result = self.model.trivial()
         for i, cls in enumerate(self.point_classes):

@@ -1,9 +1,10 @@
 """Verification suites: enumeration against closed forms, exact identities,
 and oracle agreement.
 
-Each suite returns a flat list of check dicts; a worker-pool size above 1
-fans independent cells out to processes, and results come back in
-submission order so output never depends on the pool size.
+Each suite returns a flat list of check dicts and takes only CLI flags;
+fixed bounds are the constants below.  Only the counts suite takes a
+worker-pool size: above 1 its cells fan out to processes, and results
+come back in submission order so output never depends on the pool size.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from .constructions import sample_bielliptic_spec
 from .gf2 import SymplecticSpace
 from .report import check
 
+T_SIZE_MAX_B = 8  # vanishing-set sizes are counted up to here, past --max-b
+CLOSURE_MAX_B = 4  # base genus up to which the cubic closure check runs
+ORACLE_SAMPLES, ORACLE_MAX_DIM = 10000, 20  # random forms the oracle checks
+
 
 def _run_cells(worker, cells, threads: int) -> list[dict]:
     # never more workers than cells or CPUs: the pool starts them all at once
@@ -30,12 +35,12 @@ def _run_cells(worker, cells, threads: int) -> list[dict]:
     return [c for block in blocks for c in block]
 
 
-def _counts_cell(cell: tuple[int, int, int, int]) -> list[dict]:
-    b, r, N, seed = cell
+def _counts_cell(cell: tuple[int, int, int]) -> list[dict]:
+    b, r, seed = cell
     if b == 0:
         spec = ramified.RamifiedCoverSpec.rational(r)
     elif b == 1:
-        spec = sample_bielliptic_spec(r, N=N, seed=seed * 1000 + r)
+        spec = sample_bielliptic_spec(r, seed=seed * 1000 + r)
     else:
         spec = ramified.RamifiedCoverSpec.generic(b, r)
     chars = ramified.enumerate_theta_chars(spec)
@@ -52,10 +57,10 @@ def _counts_cell(cell: tuple[int, int, int, int]) -> list[dict]:
     ]
 
 
-def counts_suite(max_b: int = 3, max_r: int = 6, N: int = 240, seed: int = 0, threads: int = 1) -> list[dict]:
+def counts_suite(max_b: int = 3, max_r: int = 6, seed: int = 0, threads: int = 1) -> list[dict]:
     """Enumerated totals, parities and guaranteed vanishing counts against
     the closed forms, for every base genus and branch half-count in range."""
-    cells = [(b, r, N, seed) for b in range(max_b + 1) for r in range(1, max_r + 1)]
+    cells = [(b, r, seed) for b in range(max_b + 1) for r in range(1, max_r + 1)]
     return _run_cells(_counts_cell, cells, threads)
 
 
@@ -67,8 +72,7 @@ def identities_suite(max_r: int = 30) -> list[dict]:
     ]
 
 
-def _etale_cell(cell: tuple[int, int]) -> list[dict]:
-    b, max_count_b = cell
+def _etale_cell(b: int, max_count_b: int) -> list[dict]:
     spec = etale.EtaleCoverSpec.default(b)
     expected = etale.closed_form_counts(b)
     checks = []
@@ -82,24 +86,21 @@ def _etale_cell(cell: tuple[int, int]) -> list[dict]:
                 check(f"odd[b={b}]", expected["odd"], parities.count(1)),
             ]
         )
-    checks.append(
-        check(
-            f"T_size[b={b}]",
-            expected["T_size"],
-            len(etale.vanishing_thetanulls(spec)),
-        )
-    )
+    checks.append(check(f"T_size[b={b}]", expected["T_size"], etale.count_vanishing_enumerated(spec)))
     return checks
 
 
-def etale_suite(max_b: int = 6, max_T_b: int = 8, threads: int = 1) -> list[dict]:
+def etale_suite(max_b: int = 6) -> list[dict]:
     """Unramified-case counts against the closed forms; vanishing-set sizes
-    are cheap and run to a higher genus than the full enumerations."""
-    cells = [(b, max_b) for b in range(1, max(max_b, max_T_b) + 1)]
-    return _run_cells(_etale_cell, cells, threads)
+    are cheap and run to a higher genus than the full enumerations.  Each
+    genus costs about four times the one before, so ``max_b`` is refused
+    above the enumeration bound before any cell runs."""
+    if max_b > etale.MAX_ENUMERATION_B:
+        raise ValueError(f"--max-b is at most {etale.MAX_ENUMERATION_B}")
+    return [c for b in range(1, max(max_b, T_SIZE_MAX_B) + 1) for c in _etale_cell(b, max_b)]
 
 
-def syzygetic_suite(max_b: int = 5, closure_max_b: int = 4) -> list[dict]:
+def syzygetic_suite(max_b: int = 5) -> list[dict]:
     """Every triple from the vanishing set is even; the set lies in the
     all-even affine subspace of dimension g - 1, which is closed under
     triple products."""
@@ -130,7 +131,7 @@ def syzygetic_suite(max_b: int = 5, closure_max_b: int = 4) -> list[dict]:
                 all(tc in subspace_set for tc in vanishing),
             )
         )
-        if b <= closure_max_b:
+        if b <= CLOSURE_MAX_B:
             closed = all(
                 etale.triple_product(spec, t1, t2, t3) in subspace_set
                 for t1 in subspace
@@ -141,9 +142,9 @@ def syzygetic_suite(max_b: int = 5, closure_max_b: int = 4) -> list[dict]:
     return checks
 
 
-def oracle_suite(samples: int = 10000, max_dim: int = 20, seed: int = 0) -> list[dict]:
+def oracle_suite(seed: int = 0) -> list[dict]:
     """Basis-formula Arf against the exhaustive zero-count oracle:
-    every form up to dimension 6, then random forms up to ``max_dim``."""
+    every form up to dimension 6, then random forms up to ``ORACLE_MAX_DIM``."""
     checks = []
     for n in (1, 2, 3):
         space = SymplecticSpace(n)
@@ -154,14 +155,14 @@ def oracle_suite(samples: int = 10000, max_dim: int = 20, seed: int = 0) -> list
         )
         checks.append(check(f"arf_oracle_exhaustive[dim={2 * n}]", 0, bad))
     rng = random.Random(seed)
-    dims = [d for d in range(2, max_dim + 1, 2)]
+    dims = range(2, ORACLE_MAX_DIM + 1, 2)
     bad = 0
-    for _ in range(samples):
+    for _ in range(ORACLE_SAMPLES):
         dim = rng.choice(dims)
         q = quadforms.QuadraticForm(SymplecticSpace(dim // 2), rng.randrange(1 << dim))
         if q.arf() != quadforms.arf_by_zero_count(q):
             bad += 1
-    checks.append(check(f"arf_oracle_random[samples={samples},max_dim={max_dim}]", 0, bad))
+    checks.append(check(f"arf_oracle_random[samples={ORACLE_SAMPLES},max_dim={ORACLE_MAX_DIM}]", 0, bad))
     return checks
 
 

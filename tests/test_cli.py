@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from thetanulls import verify
-from thetanulls.cli import main
+from thetanulls.cli import VERIFY_FLAGS, main
 from thetanulls.report import check
 
 
@@ -88,6 +89,8 @@ def test_usage_errors_exit_2(capsys):
         ("verify --suite oracle --max-b 0", 2),
         ("verify --suite identities --threads 2", 2),
         ("verify --suite etale --seed 1", 2),
+        ("verify --suite etale --threads 2", 2),
+        ("verify --suite etale --max-b 12", 2),
         ("count --case ramified --b 0 --r 2 --rho 01", 2),
         ("construct hyperelliptic --g 1", 2),
         ("construct bielliptic-generic --g 2", 2),
@@ -110,6 +113,13 @@ def test_edge_inputs_keep_exit_code_contract(tmp_path, capsys, argv, expected):
     assert code == expected
     assert "Traceback" not in err
     assert "error" in err
+
+
+def test_every_suite_parameter_is_a_verify_flag():
+    # a parameter no flag can set would be a knob only code could turn
+    for name, suite in verify.SUITES.items():
+        params = set(inspect.signature(suite).parameters)
+        assert params <= set(VERIFY_FLAGS), (name, params - set(VERIFY_FLAGS))
 
 
 def test_unwritable_json_out_refused_before_the_suite_runs(monkeypatch, capsys):

@@ -132,7 +132,7 @@ def test_generic_bielliptic_matches_closed_form_for_most_seeds():
 def test_sampler_rejects_impossible_setup():
     # a tiny modulus cannot host 10 distinct even points
     with pytest.raises(ModelError):
-        build_bielliptic_genus6(N=4, seed=0, max_attempts=50)
+        build_bielliptic_genus6(N=4, seed=0)
 
 
 def test_sample_spec_even_cover_class():

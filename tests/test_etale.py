@@ -25,7 +25,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         EtaleCoverSpec(0, GF2Vector(1, 2))
     with pytest.raises(ValueError):
-        EtaleCoverSpec(2, GF2Vector.zero(4))
+        EtaleCoverSpec(2, GF2Vector(0, 4))
     with pytest.raises(ValueError):
         EtaleCoverSpec(2, GF2Vector(1, 2))
 
@@ -214,7 +214,8 @@ def test_word_filters_match_the_object_route():
         chars = enumerate_etale(spec)
         roots = [tc.root_label for tc in chars if tc.is_root_case]
         forms = [tc for tc in chars if not tc.is_root_case]
-        assert roots == sorted({min(v, v + rho) for v in spec.space.vectors()})
+        vecs = [GF2Vector(bits, rho.dim) for bits in range(1 << rho.dim)]
+        assert roots == sorted({min(v, v + rho) for v in vecs})
         canonical = {canonical_form(spec, q) for q in all_forms(spec.space)}
         assert forms == sorted(canonical, key=lambda tc: tc.form.basis_values)
         even = [tc for tc in forms if tc.form(rho) == 0]
