@@ -7,7 +7,7 @@ unramified case (quadratic forms on the 2-torsion of the base), all in
 exact arithmetic over finite models.
 """
 
-from .gf2 import GF2Vector, SymplecticSpace, pairing
+from .gf2 import GF2Vector, pairing
 from .quadforms import QuadraticForm, affine_difference, all_forms, arf_by_zero_count
 from .picard import (
     EllipticModel,

@@ -29,6 +29,13 @@ MAX_GENUS = 46
 
 # verify flags; each suite takes the ones its signature names, with its own defaults
 VERIFY_FLAGS = ("max_b", "max_r", "seed", "threads")
+# construct flags, taken by each target's function in the same way
+CONSTRUCT_FLAGS = ("g", "N", "seed")
+CONSTRUCT_TARGETS = {
+    "bielliptic-g6": build_bielliptic_genus6,
+    "bielliptic-generic": count_vanishing_generic_bielliptic,
+    "hyperelliptic": hyperelliptic_report,
+}
 
 
 class UsageError(Exception):
@@ -95,13 +102,24 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _flag_kwargs(func, args, flags: tuple[str, ...], name: str) -> dict:
+    """The flags that ``func``'s signature names, each at its value or, if
+    unset, at the function's default; a set flag it does not name, or an
+    unset one it has no default for, is a usage error."""
+    params = inspect.signature(func).parameters
+    unused = [f"--{k.replace('_', '-')}" for k in flags if getattr(args, k) is not None and k not in params]
+    if unused:
+        raise UsageError(f"{name} takes no {' '.join(unused)}")
+    kwargs = {k: p.default if getattr(args, k) is None else getattr(args, k) for k, p in params.items() if k in flags}
+    missing = [f"--{k}" for k, v in kwargs.items() if v is inspect.Parameter.empty]
+    if missing:
+        raise UsageError(f"{name} requires {' '.join(missing)}")
+    return kwargs
+
+
 def _cmd_verify(args) -> int:
     suite = SUITES[args.suite]
-    defaults = {k: p.default for k, p in inspect.signature(suite).parameters.items() if k in VERIFY_FLAGS}
-    unused = [f"--{k.replace('_', '-')}" for k in VERIFY_FLAGS if getattr(args, k) is not None and k not in defaults]
-    if unused:
-        raise UsageError(f"--suite {args.suite} takes no {' '.join(unused)}")
-    kwargs = {k: default if getattr(args, k) is None else getattr(args, k) for k, default in defaults.items()}
+    kwargs = _flag_kwargs(suite, args, VERIFY_FLAGS, f"--suite {args.suite}")
     try:
         checks = suite(**kwargs)
     except ValueError as exc:
@@ -120,27 +138,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    target = CONSTRUCT_TARGETS[args.target]
+    kwargs = _flag_kwargs(target, args, CONSTRUCT_FLAGS, args.target)
+    try:
+        certificate = target(**kwargs)
+    except ValueError as exc:
+        raise UsageError(f"bad --g: {exc}") from exc
     if args.target == "bielliptic-g6":
-        config = build_bielliptic_genus6(N=args.N, seed=args.seed)
-        certificate = count_vanishing_genus6(config)
-        params = {"target": args.target, "N": args.N, "seed": args.seed}
-    elif args.target == "bielliptic-generic":
-        if args.g is None:
-            raise UsageError("bielliptic-generic requires --g")
-        try:
-            certificate = count_vanishing_generic_bielliptic(args.g, N=args.N, seed=args.seed)
-        except ValueError as exc:
-            raise UsageError(f"bad --g: {exc}") from exc
-        params = {"target": args.target, "g": args.g, "N": args.N, "seed": args.seed}
-    else:
-        if args.g is None:
-            raise UsageError("hyperelliptic requires --g")
-        try:
-            certificate = hyperelliptic_report(args.g)
-        except ValueError as exc:
-            raise UsageError(f"bad --g: {exc}") from exc
-        params = {"target": args.target, "g": args.g}
-    report = build_report("construct", params, certificate)
+        certificate = count_vanishing_genus6(certificate)
+    report = build_report("construct", {"target": args.target, **kwargs}, certificate)
     _emit(report, args)
     return 0
 
@@ -175,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_construct = sub.add_parser("construct", help="end-to-end constructions with certificates")
-    p_construct.add_argument("target", choices=["bielliptic-g6", "bielliptic-generic", "hyperelliptic"])
-    p_construct.add_argument("--N", type=int, default=240, help="torsion modulus (multiple of 4)")
-    p_construct.add_argument("--seed", type=int, default=0)
+    p_construct.add_argument("target", choices=sorted(CONSTRUCT_TARGETS))
+    p_construct.add_argument("--N", type=int, default=None, help="torsion modulus (multiple of 4)")
+    p_construct.add_argument("--seed", type=int, default=None)
     p_construct.add_argument("--g", type=int, default=None, help="curve genus")
     common(p_construct)
     p_construct.set_defaults(func=_cmd_construct)

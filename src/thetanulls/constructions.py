@@ -32,6 +32,7 @@ from .ramified import (
     h0_theta,
     is_vanishing,
     parity,
+    vanishing_theta_chars,
 )
 
 Point = tuple[int, int]
@@ -64,10 +65,6 @@ class BiellipticGenus6:
     pencil_point: Point  # Abel-Jacobi coordinate of the degree-2 pencil class
     pair_divisors: tuple[tuple[Point, Point], ...]
     triple_divisor: tuple[Point, Point, Point]
-
-    @property
-    def pencil_class(self) -> LineBundleClass:
-        return LineBundleClass(ELLIPTIC, 2, self.pencil_point)
 
     @property
     def branch_points(self) -> tuple[Point, ...]:
@@ -149,8 +146,7 @@ def count_vanishing_genus6(config: BiellipticGenus6) -> dict:
     pair_i + pair_j + base point, 2 sections each.
     """
     spec = config.spec()
-    chars = enumerate_theta_chars(spec)
-    vanishing = [tc for tc in chars if is_vanishing(spec, tc)]
+    vanishing = vanishing_theta_chars(spec)
     generic = [tc for tc in vanishing if tc.subset_size < spec.r]
     extras = [tc for tc in vanishing if tc.subset_size == spec.r]
 
@@ -162,8 +158,8 @@ def count_vanishing_genus6(config: BiellipticGenus6) -> dict:
         present = rep in vanishing_set
         forced_report.append(
             {
-                "subset_indices": sorted(_mask_indices(mask)),
-                "canonical_subset_indices": sorted(_mask_indices(rep.subset_mask)),
+                "subset_indices": _mask_indices(mask),
+                "canonical_subset_indices": _mask_indices(rep.subset_mask),
                 "present": present,
                 "h0": h0_theta(spec, rep) if present else 0,
             }
@@ -187,7 +183,7 @@ def _mask_indices(mask: int) -> list[int]:
 def _char_json(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> dict:
     return {
         "bundle": tc.bundle.to_json(),
-        "subset_indices": sorted(_mask_indices(tc.subset_mask)),
+        "subset_indices": _mask_indices(tc.subset_mask),
         "h0": h0_theta(spec, tc),
     }
 
@@ -231,8 +227,7 @@ def count_vanishing_generic_bielliptic(g: int, N: int = 240, seed: int = 0) -> d
         raise ValueError("a bielliptic cover of an elliptic base needs genus >= 3")
     r = g - 1
     spec = sample_bielliptic_spec(r, N=N, seed=seed)
-    chars = enumerate_theta_chars(spec)
-    vanishing = [tc for tc in chars if is_vanishing(spec, tc)]
+    vanishing = vanishing_theta_chars(spec)
     extras = [tc for tc in vanishing if tc.subset_size == r]
     return {
         "g": g,

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import GF2Vector, SymplecticSpace, swap_pairs
+from .gf2 import GF2Vector, swap_pairs
 from .quadforms import QuadraticForm, _pair_parity, affine_difference
 
 # Largest base genus whose forms are enumerated on request: the count of
@@ -52,10 +52,6 @@ class EtaleCoverSpec:
     @property
     def g(self) -> int:
         return 2 * self.b - 1
-
-    @property
-    def space(self) -> SymplecticSpace:
-        return SymplecticSpace(self.b)
 
     @classmethod
     def default(cls, b: int) -> "EtaleCoverSpec":
@@ -105,7 +101,7 @@ def _form_words(spec: EtaleCoverSpec, value: int | None = None, arf: int | None 
     rho = spec.cover_class.bits
     # q(cover) is the cover's cross term plus the sum of the basis values over its support
     target = None if value is None else value ^ _pair_parity(rho)
-    for bv in _canonical_words(dim, swap_pairs(rho, dim)):
+    for bv in _canonical_words(dim, swap_pairs(rho)):
         if target is not None and (bv & rho).bit_count() & 1 != target:
             continue
         if arf is not None and _pair_parity(bv) != arf:
@@ -114,8 +110,8 @@ def _form_words(spec: EtaleCoverSpec, value: int | None = None, arf: int | None 
 
 
 def _form_chars(spec: EtaleCoverSpec, words: Iterator[int]) -> list[EtaleThetaChar]:
-    space = spec.space
-    return [EtaleThetaChar(form=QuadraticForm(space, bv)) for bv in words]
+    dim = 2 * spec.b
+    return [EtaleThetaChar(form=QuadraticForm(dim, bv)) for bv in words]
 
 
 def enumerate_etale(spec: EtaleCoverSpec) -> list[EtaleThetaChar]:
@@ -181,23 +177,20 @@ def even_subspace(spec: EtaleCoverSpec) -> list[EtaleThetaChar]:
     return _form_chars(spec, _form_words(spec, value=0))
 
 
-def _require_forms(*chars: EtaleThetaChar) -> list[QuadraticForm]:
-    forms = []
-    for tc in chars:
-        if tc.is_root_case:
-            raise ValueError("triple products are only defined within the form case")
-        forms.append(tc.form)
-    return forms
+def _triple_form(t1: EtaleThetaChar, t2: EtaleThetaChar, t3: EtaleThetaChar) -> QuadraticForm:
+    """The form of t2 (x) t3 (x) t1^{-1}: t1 translated by the affine
+    differences that lead from it to t2 and to t3."""
+    if t1.is_root_case or t2.is_root_case or t3.is_root_case:
+        raise ValueError("triple products are only defined within the form case")
+    q1 = t1.form
+    return q1.translate(affine_difference(q1, t2.form) + affine_difference(q1, t3.form))
 
 
 def triple_product(
     spec: EtaleCoverSpec, t1: EtaleThetaChar, t2: EtaleThetaChar, t3: EtaleThetaChar
 ) -> EtaleThetaChar:
     """The theta characteristic t2 (x) t3 (x) t1^{-1} via the affine structure."""
-    q1, q2, q3 = _require_forms(t1, t2, t3)
-    step2 = affine_difference(q1, q2)
-    step3 = affine_difference(q1, q3)
-    return canonical_form(spec, q1.translate(step2 + step3))
+    return canonical_form(spec, _triple_form(t1, t2, t3))
 
 
 def triple_parity(
@@ -205,8 +198,5 @@ def triple_parity(
 ) -> int:
     """Parity of the triple product; 0 whenever all three factors lie in
     the q(cover) = 0 subspace, which is the syzygetic property."""
-    q1, q2, q3 = _require_forms(t1, t2, t3)
-    step2 = affine_difference(q1, q2)
-    step3 = affine_difference(q1, q3)
-    return q1.translate(step2 + step3)(spec.cover_class)
+    return _triple_form(t1, t2, t3)(spec.cover_class)
 

@@ -8,25 +8,18 @@ and a single machine word holds any vector of dimension up to 64.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 MAX_DIM = 64
 
-
-@functools.lru_cache(maxsize=None)
-def even_positions_mask(dim: int) -> int:
-    """Bitmask selecting coordinates 0, 2, 4, ... below ``dim``."""
-    mask = 0
-    for i in range(0, dim, 2):
-        mask |= 1 << i
-    return mask
+# the a-coordinates 0, 2, 4, ... of every hyperbolic pair in a word
+EVEN_POSITIONS = int("01" * (MAX_DIM // 2), 2)
 
 
-def swap_pairs(bits: int, dim: int) -> int:
-    """Exchange the two coordinates inside every hyperbolic pair (2i, 2i+1)."""
-    even = even_positions_mask(dim)
-    return ((bits & even) << 1) | ((bits >> 1) & even)
+def swap_pairs(bits: int) -> int:
+    """Exchange the two coordinates inside every hyperbolic pair (2i, 2i+1);
+    a word of even dimension keeps its dimension."""
+    return ((bits & EVEN_POSITIONS) << 1) | ((bits >> 1) & EVEN_POSITIONS)
 
 
 @dataclass(frozen=True, order=True)
@@ -71,24 +64,9 @@ class GF2Vector:
         return f"GF2Vector('{self.to_bitstring()}')"
 
 
-@dataclass(frozen=True, order=True)
-class SymplecticSpace:
-    """GF(2)^(2n) with the standard pairing on interleaved hyperbolic pairs."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or 2 * self.n > MAX_DIM:
-            raise ValueError(f"half-dimension must be in 0..{MAX_DIM // 2}, got {self.n}")
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
-
 def pairing(u: GF2Vector, v: GF2Vector) -> int:
     """Symplectic pairing e(u, v) = sum_i u[2i] v[2i+1] + u[2i+1] v[2i] mod 2."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    return (u.bits & swap_pairs(v.bits, v.dim)).bit_count() & 1
+    return (u.bits & swap_pairs(v.bits)).bit_count() & 1
 

@@ -11,8 +11,8 @@ addition, halving and section counts.  Three kinds of base:
   curve where halving never fails.
 * ``generic``  -- a parity-level model of a genus-b base: torsion
   (Z/2)^(2b), a 2-torsion label.  Section counts in the critical degree
-  range are the general-position values, which ``ramified.h0_exact``
-  reports as not exact.
+  range are the general-position values, so ``ramified.is_vanishing``
+  gives a lower bound there.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ A form q is stored by its values on the standard basis and extended by
 which makes q(u + v) = q(u) + q(v) + e(u, v) hold identically.  With the
 interleaved basis the cross term collapses to sum_i c_{2i} c_{2i+1}, so
 evaluation, translation and the Arf invariant are all word operations.
-Enumerating all forms on a space is enumerating bit words of length 2n.
+A form carries only the dimension 2n of its space, and enumerating all
+forms on the space is enumerating bit words of length 2n.
 """
 
 from __future__ import annotations
@@ -15,34 +16,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import MAX_DIM, GF2Vector, SymplecticSpace, even_positions_mask, swap_pairs
+from .gf2 import EVEN_POSITIONS, MAX_DIM, GF2Vector, swap_pairs
 
 VALUE_TABLE_MAX_DIM = 24
-
-# the a-coordinates of every pair; bits above a word's dimension are clear
-_EVEN = even_positions_mask(MAX_DIM)
 
 
 def _pair_parity(word: int) -> int:
     """sum_i w[2i] w[2i+1] mod 2 over the hyperbolic pairs of a word: the
     cross term of a vector, and the Arf invariant of a basis-value word."""
-    return (word & (word >> 1) & _EVEN).bit_count() & 1
+    return (word & (word >> 1) & EVEN_POSITIONS).bit_count() & 1
 
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Quadratic form refining the symplectic pairing of ``space``."""
+    """Quadratic form refining the symplectic pairing of GF(2)^dim."""
 
-    space: SymplecticSpace
+    dim: int
     basis_values: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.basis_values < (1 << self.space.dim):
+        if self.dim < 0 or self.dim > MAX_DIM or self.dim % 2:
+            raise ValueError(f"dimension must be even and in 0..{MAX_DIM}, got {self.dim}")
+        if not 0 <= self.basis_values < (1 << self.dim):
             raise ValueError("basis values out of range for the space")
 
     def __call__(self, v: GF2Vector) -> int:
-        if v.dim != self.space.dim:
-            raise ValueError(f"dimension mismatch: {v.dim} vs {self.space.dim}")
+        if v.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {v.dim} vs {self.dim}")
         return ((self.basis_values & v.bits).bit_count() & 1) ^ _pair_parity(v.bits)
 
     def arf(self) -> int:
@@ -51,15 +51,15 @@ class QuadraticForm:
 
     def translate(self, alpha: GF2Vector) -> "QuadraticForm":
         """The form x -> q(x) + e(alpha, x); the affine action of the space."""
-        if alpha.dim != self.space.dim:
+        if alpha.dim != self.dim:
             raise ValueError("dimension mismatch")
-        return QuadraticForm(self.space, self.basis_values ^ swap_pairs(alpha.bits, alpha.dim))
+        return QuadraticForm(self.dim, self.basis_values ^ swap_pairs(alpha.bits))
 
 
-def all_forms(space: SymplecticSpace) -> Iterator[QuadraticForm]:
-    """All 2^(2n) quadratic forms on the space, in basis-value order."""
-    for bv in range(1 << space.dim):
-        yield QuadraticForm(space, bv)
+def all_forms(dim: int) -> Iterator[QuadraticForm]:
+    """All 2^dim quadratic forms on GF(2)^dim, in basis-value order."""
+    for bv in range(1 << dim):
+        yield QuadraticForm(dim, bv)
 
 
 def affine_difference(q1: QuadraticForm, q2: QuadraticForm) -> GF2Vector:
@@ -69,10 +69,9 @@ def affine_difference(q1: QuadraticForm, q2: QuadraticForm) -> GF2Vector:
     q1(e_i) + q2(e_i); against the interleaved pairing its dual vector is
     the pair-swap of that word.
     """
-    if q1.space != q2.space:
+    if q1.dim != q2.dim:
         raise ValueError("forms live on different spaces")
-    diff = q1.basis_values ^ q2.basis_values
-    return GF2Vector(swap_pairs(diff, q1.space.dim), q1.space.dim)
+    return GF2Vector(swap_pairs(q1.basis_values ^ q2.basis_values), q1.dim)
 
 
 def value_table(q: QuadraticForm) -> int:
@@ -83,7 +82,7 @@ def value_table(q: QuadraticForm) -> int:
     bit of v, which for the interleaved order is constant (j even) or a
     half-block pattern (j odd).
     """
-    dim = q.space.dim
+    dim = q.dim
     if dim > VALUE_TABLE_MAX_DIM:
         raise ValueError(f"value table supported up to dimension {VALUE_TABLE_MAX_DIM}")
     table = 0
@@ -100,14 +99,13 @@ def value_table(q: QuadraticForm) -> int:
 
 def zero_count(q: QuadraticForm) -> int:
     """Number of vectors on which q vanishes (exhaustive table)."""
-    dim = q.space.dim
-    return (1 << dim) - value_table(q).bit_count()
+    return (1 << q.dim) - value_table(q).bit_count()
 
 
 def arf_by_zero_count(q: QuadraticForm) -> int:
     """Independent Arf evaluation: the invariant is 0 exactly when q has
     2^(2n-1) + 2^(n-1) zeros.  Never used as the primary path."""
-    dim = q.space.dim
+    dim = q.dim
     if dim == 0:
         return 0
     zeros = zero_count(q)

@@ -26,7 +26,6 @@ from functools import cached_property
 from math import comb
 
 from .picard import (
-    ELLIPTIC,
     GENERIC,
     RATIONAL,
     BaseCurveModel,
@@ -119,15 +118,18 @@ class RamifiedThetaChar:
         return self.subset_mask.bit_count()
 
 
+def _canonical_mask(spec: RamifiedCoverSpec, mask: int) -> bool:
+    """Canonical subsets have #E < r, or #E = r and are the smaller of the
+    two complementary masks (compared as words)."""
+    size = mask.bit_count()
+    if size != spec.r:
+        return size < spec.r
+    return mask <= spec.full_mask ^ mask
+
+
 def is_canonical(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> bool:
-    """Canonical representatives have #E < r, or #E = r with the smaller of
-    the two complementary masks (compared as words)."""
-    size = tc.subset_size
-    if size < spec.r:
-        return True
-    if size > spec.r:
-        return False
-    return tc.subset_mask <= spec.full_mask ^ tc.subset_mask
+    """Whether tc is the canonical one of its two representations."""
+    return _canonical_mask(spec, tc.subset_mask)
 
 
 def swap_representation(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> RamifiedThetaChar:
@@ -160,7 +162,7 @@ def enumerate_theta_chars(spec: RamifiedCoverSpec) -> list[RamifiedThetaChar]:
             mask = 0
             for i in combo:
                 mask |= 1 << i
-            if k == spec.r and mask > spec.full_mask ^ mask:
+            if not _canonical_mask(spec, mask):
                 continue
             for root in spec.model.sqrt_classes(spec.square_target(mask)):
                 out.append(RamifiedThetaChar(root, mask))
@@ -197,23 +199,20 @@ def h0_theta_decomposed(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> int:
     return m.h0(tc.bundle) + m.h0(twisted)
 
 
-def h0_exact(spec: RamifiedCoverSpec) -> bool:
-    """Whether section counts on this model are exact rather than
-    general-position values."""
-    return spec.model.kind in (RATIONAL, ELLIPTIC)
-
-
 def is_vanishing(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> bool:
-    """Even with a nonzero section count.
+    """Even with a nonzero section count, on every model.
 
-    On the generic model the sufficient criterion #E < r (degree of the
-    bundle exceeding b - 1) is used, so the verdict is a lower bound.
+    On the generic model ``h0_theta`` is the general-position value
+    |r - #E| / 2, so there the verdict is the guaranteed one, #E != r, on
+    either representation of a characteristic: a lower bound.
     """
-    if parity(spec, tc) != 0:
-        return False
-    if h0_exact(spec):
-        return h0_theta(spec, tc) > 0
-    return tc.subset_size < spec.r
+    return parity(spec, tc) == 0 and h0_theta(spec, tc) > 0
+
+
+def vanishing_theta_chars(spec: RamifiedCoverSpec) -> list[RamifiedThetaChar]:
+    """The canonical characteristics that are vanishing thetanulls, in
+    enumeration order."""
+    return [tc for tc in enumerate_theta_chars(spec) if is_vanishing(spec, tc)]
 
 
 # --- closed-form counts, exact integer arithmetic throughout ---

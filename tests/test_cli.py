@@ -94,6 +94,9 @@ def test_usage_errors_exit_2(capsys):
         ("count --case ramified --b 0 --r 2 --rho 01", 2),
         ("construct hyperelliptic --g 1", 2),
         ("construct bielliptic-generic --g 2", 2),
+        ("construct hyperelliptic --g 3 --N 8", 2),
+        ("construct hyperelliptic --g 3 --seed 1", 2),
+        ("construct bielliptic-g6 --g 7", 2),
         ("count --case etale --b 2 --json-out {missing}", 2),
         ("count --case etale --b 2 --rho 0000", 2),
         ("count --case etale --b 2 --rho 01", 2),

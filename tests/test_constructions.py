@@ -9,7 +9,7 @@ from thetanulls.constructions import (
     hyperelliptic_report,
     sample_bielliptic_spec,
 )
-from thetanulls.picard import ModelError
+from thetanulls.picard import LineBundleClass, ModelError
 from thetanulls.ramified import (
     RamifiedThetaChar,
     canonicalize,
@@ -35,9 +35,10 @@ def test_build_invariants():
         m = config.model
         # each 2-point divisor lies in the degree-2 pencil, the 3-point one
         # in its twist by the base point
+        pencil = LineBundleClass("elliptic", 2, config.pencil_point)
         for pair in config.pair_divisors:
-            assert divisor_class(m, pair) == config.pencil_class
-        twist = m.tensor(config.pencil_class, m.point_class(config.base_point))
+            assert divisor_class(m, pair) == pencil
+        twist = m.tensor(pencil, m.point_class(config.base_point))
         assert divisor_class(m, config.triple_divisor) == twist
         assert config.cover_class.degree == 5
         assert m.tensor(config.cover_class, config.cover_class) == divisor_class(m, points)

@@ -117,7 +117,7 @@ def test_canonicalization_well_defined():
     for b in (2, 3, 4):
         spec = EtaleCoverSpec.default(b)
         rho = spec.cover_class
-        for q in all_forms(spec.space):
+        for q in all_forms(2 * spec.b):
             qt = q.translate(rho)
             assert qt(rho) == q(rho)
             if q(rho) == 0:
@@ -216,7 +216,7 @@ def test_word_filters_match_the_object_route():
         forms = [tc for tc in chars if not tc.is_root_case]
         vecs = [GF2Vector(bits, rho.dim) for bits in range(1 << rho.dim)]
         assert roots == sorted({min(v, v + rho) for v in vecs})
-        canonical = {canonical_form(spec, q) for q in all_forms(spec.space)}
+        canonical = {canonical_form(spec, q) for q in all_forms(2 * spec.b)}
         assert forms == sorted(canonical, key=lambda tc: tc.form.basis_values)
         even = [tc for tc in forms if tc.form(rho) == 0]
         vanishing = [tc for tc in even if tc.form.arf() == 1]

@@ -73,4 +73,4 @@ def test_pairing_symmetric_in_char_two():
 
 def test_swap_pairs_is_involution():
     for bits in range(16):
-        assert swap_pairs(swap_pairs(bits, 4), 4) == bits
+        assert swap_pairs(swap_pairs(bits)) == bits

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from thetanulls.gf2 import GF2Vector, SymplecticSpace, pairing
+from thetanulls.gf2 import GF2Vector, pairing
 from thetanulls.quadforms import (
     QuadraticForm,
     affine_difference,
@@ -19,23 +19,29 @@ def vectors(dim):
 
 
 def test_values_forced_by_polarization():
-    V = SymplecticSpace(2)
-    q = QuadraticForm(V, 0)
+    dim = 4
+    q = QuadraticForm(dim, 0)
     assert q(GF2Vector(0, 4)) == 0
     assert q(GF2Vector(0b01, 4) + GF2Vector(0b10, 4)) == 1  # = e(a1, b1)
 
 
 def test_dimension_mismatch():
-    q = QuadraticForm(SymplecticSpace(2), 0)
+    q = QuadraticForm(4, 0)
     with pytest.raises(ValueError):
         q(GF2Vector(0, 6))
 
 
+@pytest.mark.parametrize("dim", [-2, 3, 66])
+def test_dimension_must_be_even_and_in_range(dim):
+    with pytest.raises(ValueError):
+        QuadraticForm(dim, 0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_polarization_exhaustive(n):
-    space = SymplecticSpace(n)
-    vecs = vectors(space.dim)
-    for q in all_forms(space):
+    dim = 2 * n
+    vecs = vectors(dim)
+    for q in all_forms(dim):
         for u in vecs:
             for v in vecs:
                 assert q(u + v) == q(u) ^ q(v) ^ pairing(u, v)
@@ -43,8 +49,7 @@ def test_polarization_exhaustive(n):
 
 def test_polarization_exhaustive_dim8():
     # all 256 forms via packed value tables: bit v of the table is q(v)
-    space = SymplecticSpace(4)
-    dim = space.dim
+    dim = 8
     size = 1 << dim
     ones = (1 << size) - 1
     pair_rows = []
@@ -72,7 +77,7 @@ def test_polarization_exhaustive_dim8():
                 out = ((out & mask) >> step) | ((out & (ones ^ mask)) << step)
         return out
 
-    for q in all_forms(space):
+    for q in all_forms(dim):
         table = value_table(q)
         for u_bits in range(size):
             qu = (table >> u_bits) & 1
@@ -83,25 +88,25 @@ def test_polarization_exhaustive_dim8():
 
 def test_value_table_matches_direct_evaluation():
     for n in (1, 2, 3, 4):
-        space = SymplecticSpace(n)
-        for q in all_forms(space):
+        dim = 2 * n
+        for q in all_forms(dim):
             table = value_table(q)
-            for v in vectors(space.dim):
+            for v in vectors(dim):
                 assert (table >> v.bits) & 1 == q(v)
 
 
 def test_value_table_dimension_cap():
     with pytest.raises(ValueError):
-        value_table(QuadraticForm(SymplecticSpace(13), 0))
+        value_table(QuadraticForm(26, 0))
 
 
 def test_arf_standard_form_is_zero():
     for n in (1, 2, 3, 5):
-        assert QuadraticForm(SymplecticSpace(n), 0).arf() == 0
+        assert QuadraticForm(2 * n, 0).arf() == 0
 
 
 def test_arf_dim2_minority_form():
-    q = QuadraticForm(SymplecticSpace(1), 0b11)
+    q = QuadraticForm(2, 0b11)
     assert q.arf() == 1
     assert zero_count(q) == 1  # only the origin
 
@@ -109,18 +114,18 @@ def test_arf_dim2_minority_form():
 def test_arf_class_sizes():
     # Arf-1 forms number 2^(n-1) (2^n - 1), Arf-0 forms 2^(n-1) (2^n + 1)
     for n in (1, 2, 3):
-        arfs = [q.arf() for q in all_forms(SymplecticSpace(n))]
+        arfs = [q.arf() for q in all_forms(2 * n)]
         assert arfs.count(1) == (1 << (n - 1)) * ((1 << n) - 1)
         assert arfs.count(0) == (1 << (n - 1)) * ((1 << n) + 1)
 
 
 def test_zero_count_examples():
-    assert zero_count(QuadraticForm(SymplecticSpace(2), 0)) == 10  # 2^3 + 2^1
+    assert zero_count(QuadraticForm(4, 0)) == 10  # 2^3 + 2^1
 
 
 def test_arf_oracle_agreement_exhaustive():
     for n in (1, 2, 3):
-        for q in all_forms(SymplecticSpace(n)):
+        for q in all_forms(2 * n):
             assert q.arf() == arf_by_zero_count(q)
 
 
@@ -128,22 +133,22 @@ def test_arf_oracle_random_large():
     rng = random.Random(0)
     for _ in range(300):
         n = rng.randrange(1, 9)
-        q = QuadraticForm(SymplecticSpace(n), rng.randrange(1 << (2 * n)))
+        q = QuadraticForm(2 * n, rng.randrange(1 << (2 * n)))
         assert q.arf() == arf_by_zero_count(q)
 
 
 def test_translate_identity_and_involution():
-    V = SymplecticSpace(3)
-    q = QuadraticForm(V, 0b101001)
+    dim = 6
+    q = QuadraticForm(dim, 0b101001)
     assert q.translate(GF2Vector(0, 6)) == q
     alpha = GF2Vector(1 << 2, 6) + GF2Vector(1 << 5, 6)  # a2 + b3
     assert q.translate(alpha).translate(alpha) == q
 
 
 def test_translate_composition_exhaustive_dim6():
-    V = SymplecticSpace(3)
-    vecs = vectors(V.dim)
-    for q in all_forms(V):
+    dim = 6
+    vecs = vectors(dim)
+    for q in all_forms(dim):
         for alpha in vecs:
             q_a = q.translate(alpha)
             for beta in vecs:
@@ -151,36 +156,36 @@ def test_translate_composition_exhaustive_dim6():
 
 
 def test_translate_value_law():
-    V = SymplecticSpace(2)
-    for q in all_forms(V):
-        for alpha in vectors(V.dim):
+    dim = 4
+    for q in all_forms(dim):
+        for alpha in vectors(dim):
             qt = q.translate(alpha)
-            for x in vectors(V.dim):
+            for x in vectors(dim):
                 assert qt(x) == q(x) ^ pairing(alpha, x)
 
 
 def test_translate_arf_shift():
     # Arf(q + e(rho, .)) = Arf(q) + q(rho)
     for n in (1, 2, 3):
-        V = SymplecticSpace(n)
-        for q in all_forms(V):
-            for rho in vectors(V.dim):
+        dim = 2 * n
+        for q in all_forms(dim):
+            for rho in vectors(dim):
                 assert q.translate(rho).arf() == q.arf() ^ q(rho)
 
 
 def test_affine_action_simply_transitive():
     for n in (1, 2):
-        V = SymplecticSpace(n)
-        everything = set(all_forms(V))
-        for q in all_forms(V):
-            orbit = {q.translate(alpha) for alpha in vectors(V.dim)}
+        dim = 2 * n
+        everything = set(all_forms(dim))
+        for q in all_forms(dim):
+            orbit = {q.translate(alpha) for alpha in vectors(dim)}
             assert orbit == everything
 
 
 def test_affine_difference_round_trip():
     # translation is simply transitive, so q1.translate(v) == q2 pins v
-    V = SymplecticSpace(3)
-    forms = list(all_forms(V))
+    dim = 6
+    forms = list(all_forms(dim))
     for q1 in forms:
         assert affine_difference(q1, q1).is_zero
         a1 = GF2Vector(1, 6)

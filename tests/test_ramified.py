@@ -16,7 +16,6 @@ from thetanulls.ramified import (
     count_total,
     count_vanishing_lb,
     enumerate_theta_chars,
-    h0_exact,
     h0_theta,
     h0_theta_decomposed,
     is_canonical,
@@ -81,13 +80,15 @@ def test_genus3_unique_vanishing_thetanull():
 
 
 def test_swap_is_involution_preserving_everything():
-    spec = sample_bielliptic_spec(4, seed=1)
-    for tc in enumerate_theta_chars(spec):
-        other = swap_representation(spec, tc)
-        assert swap_representation(spec, other) == tc
-        assert canonicalize(spec, other) == tc
-        assert parity(spec, other) == parity(spec, tc)
-        assert h0_theta(spec, other) == h0_theta(spec, tc)
+    # the generic model's verdict must not depend on the representation
+    for spec in (sample_bielliptic_spec(4, seed=1), RamifiedCoverSpec.generic(2, 4)):
+        for tc in enumerate_theta_chars(spec):
+            other = swap_representation(spec, tc)
+            assert swap_representation(spec, other) == tc
+            assert canonicalize(spec, other) == tc
+            assert parity(spec, other) == parity(spec, tc)
+            assert h0_theta(spec, other) == h0_theta(spec, tc)
+            assert is_vanishing(spec, other) == is_vanishing(spec, tc)
 
 
 def test_h0_routes_agree_and_match_parity():
@@ -97,7 +98,6 @@ def test_h0_routes_agree_and_match_parity():
         RamifiedCoverSpec.generic(2, 2),
         RamifiedCoverSpec.generic(3, 3),
     ):
-        assert h0_exact(spec) == (spec.model.kind != "generic")
         for tc in enumerate_theta_chars(spec):
             h = h0_theta(spec, tc)
             assert h == h0_theta_decomposed(spec, tc)
@@ -106,7 +106,6 @@ def test_h0_routes_agree_and_match_parity():
 
 def test_generic_model_flagged_not_exact():
     spec = RamifiedCoverSpec.generic(2, 2)
-    assert not h0_exact(spec)
     # lower-bound verdict comes from the subset size alone
     for tc in enumerate_theta_chars(spec):
         assert is_vanishing(spec, tc) == (parity(spec, tc) == 0 and tc.subset_size < 2)

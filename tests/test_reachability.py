@@ -1,0 +1,62 @@
+"""Every function, class and method in ``src/thetanulls`` is used by the
+package itself: no code there is reached only from the tests.
+
+A definition counts as used when its name is read somewhere in the
+package outside its own body, as a bare name or as an attribute.  The
+re-exports in ``__init__.py`` do not count, and dunder methods are left
+out because Python calls them implicitly.  The oracles that exist only to
+cross-check a primary path are named below.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thetanulls"
+
+# independent routes that the tests hold against the primary ones
+ORACLES = {"gf2.pairing", "ramified.h0_theta_decomposed"}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(qualified name, bare name, node) for top-level functions and
+    classes and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            yield f"{module}.{node.name}", node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, DEFINITIONS):
+                        yield f"{module}.{node.name}.{member.name}", member.name, member
+
+
+def _reads(node: ast.AST):
+    """(name, line) of every bare name or attribute read under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id, sub.lineno
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr, sub.lineno
+
+
+def test_no_definition_is_reached_only_from_tests():
+    modules = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    reads = {module: list(_reads(tree)) for module, tree in modules.items()}
+    unused = []
+    for module, tree in modules.items():
+        for qualname, name, node in _definitions(tree, module):
+            if qualname in ORACLES or (name.startswith("__") and name.endswith("__")):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                read == name and (other != module or line not in own)
+                for other, module_reads in reads.items()
+                for read, line in module_reads
+            ):
+                unused.append(qualname)
+    assert unused == []
