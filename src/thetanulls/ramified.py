@@ -66,13 +66,19 @@ class RamifiedCoverSpec:
         """The branch points' classes, built once per spec."""
         return tuple(self.model.point_class(p) for p in self.branch_points)
 
+    @cached_property
+    def _twisted_canonical_torsion(self) -> tuple[int, ...]:
+        """The torsion of K_B (x) rho, computed once per spec."""
+        return self.model.tensor(self.model.canonical_class(), self.cover_class).torsion
+
+    @cached_property
+    def _point_torsions(self) -> tuple[tuple[int, ...], ...]:
+        """Each branch point's torsion, computed once per spec."""
+        return tuple(cls.torsion for cls in self.point_classes)
+
     @property
     def b(self) -> int:
         return self.model.b
-
-    @property
-    def g(self) -> int:
-        return 2 * self.b + self.r - 1
 
     @property
     def full_mask(self) -> int:
@@ -91,6 +97,9 @@ class RamifiedCoverSpec:
         return cls(model, r, tuple(range(2 * r)), cover)
 
     def divisor_class(self, mask: int) -> LineBundleClass:
+        """The class of a subset as a tensor fold: the route the branch-data
+        check and ``h0_theta_decomposed`` take, independent of
+        ``square_target``'s integer arithmetic."""
         result = self.model.trivial()
         for i, cls in enumerate(self.point_classes):
             if (mask >> i) & 1:
@@ -98,11 +107,17 @@ class RamifiedCoverSpec:
         return result
 
     def square_target(self, mask: int) -> LineBundleClass:
-        """The class K_B (x) rho (-subset) that the bundle must square to."""
-        m = self.model
-        return m.tensor(
-            m.tensor(m.canonical_class(), self.cover_class),
-            m.inverse(self.divisor_class(mask)),
+        """The class K_B (x) rho (-subset) that the bundle must square to.
+
+        The chosen points' torsion is subtracted coordinate by coordinate
+        and reduced once, so each subset builds exactly one class.
+        """
+        chosen = [p for i, p in enumerate(self._point_torsions) if (mask >> i) & 1]
+        columns = zip(self._twisted_canonical_torsion, self.model.moduli, *chosen)
+        return LineBundleClass(
+            self.model.kind,
+            2 * self.b - 2 + self.r - len(chosen),
+            tuple([(t - sum(c)) % m for t, m, *c in columns]),
         )
 
 
@@ -221,6 +236,10 @@ def vanishing_theta_chars(spec: RamifiedCoverSpec) -> list[RamifiedThetaChar]:
 def _check_args(b: int, r: int) -> None:
     if b < 0 or r < 1:
         raise ValueError(f"need base genus >= 0 and r >= 1, got b={b}, r={r}")
+
+
+# the most characteristics an enumerating path builds; larger inputs are refused
+MAX_ENUMERATED_CHARS = 1 << 18
 
 
 def count_total(b: int, r: int) -> int:

@@ -91,11 +91,11 @@ def _etale_cell(b: int, max_count_b: int) -> list[dict]:
 
 def etale_suite(max_b: int = 6) -> list[dict]:
     """Unramified-case counts against the closed forms; vanishing-set sizes
-    are cheap and run to a higher genus than the full enumerations.  Each
-    genus costs about four times the one before, so ``max_b`` is refused
-    above the enumeration bound before any cell runs."""
-    if max_b > etale.MAX_ENUMERATION_B:
-        raise ValueError(f"--max-b is at most {etale.MAX_ENUMERATION_B}")
+    are cheap and run to a higher genus than the full enumerations.  The
+    enumeration at ``max_b`` builds 2^(2 max_b) characteristics, so
+    ``max_b`` is refused past ``MAX_ENUMERATED_CHARS`` before any cell runs."""
+    if 4**max_b > ramified.MAX_ENUMERATED_CHARS:
+        raise ValueError(f"--max-b {max_b} enumerates {4**max_b} characteristics, over {ramified.MAX_ENUMERATED_CHARS}")
     return [c for b in range(1, max(max_b, T_SIZE_MAX_B) + 1) for c in _etale_cell(b, max_b)]
 
 

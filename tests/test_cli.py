@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from thetanulls import verify
+from thetanulls import ramified, verify
 from thetanulls.cli import VERIFY_FLAGS, main
 from thetanulls.report import check
 
@@ -90,10 +90,13 @@ def test_usage_errors_exit_2(capsys):
         ("verify --suite identities --threads 2", 2),
         ("verify --suite etale --seed 1", 2),
         ("verify --suite etale --threads 2", 2),
+        ("verify --suite etale --max-b 10", 2),
         ("verify --suite etale --max-b 12", 2),
         ("count --case ramified --b 0 --r 2 --rho 01", 2),
         ("construct hyperelliptic --g 1", 2),
         ("construct bielliptic-generic --g 2", 2),
+        ("construct hyperelliptic --g 10", 2),
+        ("construct bielliptic-generic --g 11", 2),
         ("construct hyperelliptic --g 3 --N 8", 2),
         ("construct hyperelliptic --g 3 --seed 1", 2),
         ("construct bielliptic-g6 --g 7", 2),
@@ -116,6 +119,25 @@ def test_edge_inputs_keep_exit_code_contract(tmp_path, capsys, argv, expected):
     assert code == expected
     assert "Traceback" not in err
     assert "error" in err
+
+
+def test_construct_enumerates_once_per_call(monkeypatch, capsys):
+    # the benchmark's ramified.chars trace check counts 1,024 characteristics
+    # per bielliptic-g6 call: exactly one full enumeration
+    original = ramified.enumerate_theta_chars
+    sizes = []
+
+    def counting(spec):
+        chars = original(spec)
+        sizes.append(len(chars))
+        return chars
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "thetanulls" and getattr(module, "enumerate_theta_chars", None) is original:
+            monkeypatch.setattr(module, "enumerate_theta_chars", counting)
+    assert main(["construct", "bielliptic-g6", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert sizes == [1024]
 
 
 def test_every_suite_parameter_is_a_verify_flag():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,42 @@ def test_enumeration_canonical_and_distinct():
         assert is_canonical(spec, tc)
         assert tc.subset_size % 2 == spec.r % 2
         assert m.tensor(tc.bundle, tc.bundle) == spec.square_target(tc.subset_mask)
+
+
+def _target_specs():
+    return [
+        RamifiedCoverSpec.rational(4),
+        sample_bielliptic_spec(4, N=24, seed=3),
+        RamifiedCoverSpec.generic(2, 3),
+    ]
+
+
+def test_square_target_matches_the_tensor_fold():
+    # the integer route against the independent fold through divisor_class
+    for spec in _target_specs():
+        m = spec.model
+        twisted = m.tensor(m.canonical_class(), spec.cover_class)
+        for mask in range(spec.full_mask + 1):
+            assert spec.square_target(mask) == m.tensor(twisted, m.inverse(spec.divisor_class(mask))), mask
+
+
+# sha256 of repr([(bundle, subset_mask), ...]) in enumeration order, recorded
+# from the tensor-fold square targets
+ENUMERATION_DIGESTS = [
+    "152a5c3f44748f61cf747947c0e3c1ab5bf2cc9772f677b97b9ea72b32045089",
+    "daa2e079b3b18cb699cf75ae350ce320ad34a6f20e7b2a6d9bcb6bcfbb12a948",
+    "66d32c0101b07cdd329c1a060bc939925eea8eeada9199bb9e39edb6fc2037e6",
+    "988cd93974550ac15523e2b9ec68368c623051a09a033161e2fb6250de4e1046",
+]
+
+
+def test_enumeration_order_is_pinned():
+    specs = _target_specs() + [sample_bielliptic_spec(5, seed=0)]
+    digests = [
+        hashlib.sha256(repr([(tc.bundle, tc.subset_mask) for tc in enumerate_theta_chars(spec)]).encode()).hexdigest()
+        for spec in specs
+    ]
+    assert digests == ENUMERATION_DIGESTS
 
 
 def test_parity_formula():
