@@ -27,7 +27,9 @@ from .verify import SUITES
 
 MAX_GENUS = 46
 
-# verify flags; each suite takes the ones its signature names, with its own defaults
+# count flags; each case takes the ones its signature names, with its own defaults
+COUNT_FLAGS = ("b", "r", "rho")
+# verify flags, taken by each suite's function in the same way
 VERIFY_FLAGS = ("max_b", "max_r", "seed", "threads")
 # construct flags, taken by each target's function in the same way
 CONSTRUCT_FLAGS = ("g", "N", "seed")
@@ -38,10 +40,6 @@ CONSTRUCT_TARGETS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def _emit(report: dict, args) -> None:
     text = dumps(report)
     if args.json_file:
@@ -49,56 +47,39 @@ def _emit(report: dict, args) -> None:
             with args.json_file as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write --json-out: {exc}") from exc
+            raise ValueError(f"cannot write --json-out: {exc}") from exc
     sys.stdout.write(render_pretty(report) if args.pretty else text)
 
 
+def _checked_genus(g: int) -> int:
+    if g > MAX_GENUS:
+        raise ValueError(f"genus {g} exceeds the supported bound {MAX_GENUS}")
+    return g
+
+
+def _ramified_counts(b: int, r: int) -> dict:
+    g = _checked_genus(2 * b + r - 1)
+    counts = ramified.closed_form_counts(b, r)
+    return {"b": b, "r": r, "g": g, **counts, "asymptotic_ratio": ramified.asymptotic_ratio(b, r)}
+
+
+def _etale_counts(b: int, rho: str | None = None) -> dict:
+    g = _checked_genus(2 * b - 1)
+    results = {"b": b, "g": g, **etale.closed_form_counts(b), "subspace_dim": g - 1}
+    if rho is not None:
+        spec = etale.EtaleCoverSpec(b, GF2Vector.from_bitstring(rho))
+        results["T_size_enumerated"] = etale.count_vanishing_enumerated(spec)
+    return results
+
+
+COUNT_CASES = {"ramified": _ramified_counts, "etale": _etale_counts}
+
+
 def _cmd_count(args) -> int:
-    if args.case == "ramified":
-        if args.r is None:
-            raise UsageError("--case ramified requires --r")
-        if args.rho is not None:
-            raise UsageError("--case ramified takes no --rho")
-        b, r = args.b, args.r
-        if b < 0 or r < 1:
-            raise UsageError("need --b >= 0 and --r >= 1")
-        g = 2 * b + r - 1
-        if g > MAX_GENUS:
-            raise UsageError(f"genus {g} exceeds the supported bound {MAX_GENUS}")
-        results = {
-            "b": b,
-            "r": r,
-            "g": g,
-            **ramified.closed_form_counts(b, r),
-            "asymptotic_ratio": ramified.asymptotic_ratio(b, r),
-        }
-        params = {"case": "ramified", "b": b, "r": r}
-    else:
-        if args.r is not None:
-            raise UsageError("--case etale takes no --r")
-        b = args.b
-        if b < 1:
-            raise UsageError("need --b >= 1 in the etale case")
-        g = 2 * b - 1
-        if g > MAX_GENUS:
-            raise UsageError(f"genus {g} exceeds the supported bound {MAX_GENUS}")
-        results = {"b": b, "g": g, **etale.closed_form_counts(b), "subspace_dim": g - 1}
-        params = {"case": "etale", "b": b}
-        if args.rho is not None:
-            if b > etale.MAX_ENUMERATION_B:
-                raise UsageError(
-                    f"--rho enumerates forms up to --b {etale.MAX_ENUMERATION_B}; "
-                    f"the closed-form counts without --rho run up to genus {MAX_GENUS}"
-                )
-            try:
-                cover = GF2Vector.from_bitstring(args.rho)
-                spec = etale.EtaleCoverSpec(b, cover)
-            except ValueError as exc:
-                raise UsageError(f"bad --rho: {exc}") from exc
-            params["rho"] = cover.to_bitstring()
-            results["T_size_enumerated"] = etale.count_vanishing_enumerated(spec)
-    report = build_report("count", params, results)
-    _emit(report, args)
+    case = COUNT_CASES[args.case]
+    kwargs = _flag_kwargs(case, args, COUNT_FLAGS, f"--case {args.case}")
+    params = {"case": args.case, **{k: v for k, v in kwargs.items() if v is not None}}
+    _emit(build_report("count", params, case(**kwargs)), args)
     return 0
 
 
@@ -109,23 +90,20 @@ def _flag_kwargs(func, args, flags: tuple[str, ...], name: str) -> dict:
     params = inspect.signature(func).parameters
     unused = [f"--{k.replace('_', '-')}" for k in flags if getattr(args, k) is not None and k not in params]
     if unused:
-        raise UsageError(f"{name} takes no {' '.join(unused)}")
+        raise ValueError(f"{name} takes no {' '.join(unused)}")
     kwargs = {k: p.default if getattr(args, k) is None else getattr(args, k) for k, p in params.items() if k in flags}
     missing = [f"--{k}" for k, v in kwargs.items() if v is inspect.Parameter.empty]
     if missing:
-        raise UsageError(f"{name} requires {' '.join(missing)}")
+        raise ValueError(f"{name} requires {' '.join(missing)}")
     return kwargs
 
 
 def _cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     kwargs = _flag_kwargs(suite, args, VERIFY_FLAGS, f"--suite {args.suite}")
-    try:
-        checks = suite(**kwargs)
-    except ValueError as exc:
-        raise UsageError(f"bad bounds for --suite {args.suite}: {exc}") from exc
+    checks = suite(**kwargs)
     if not checks:
-        raise UsageError(f"--suite {args.suite} runs no checks with these bounds")
+        raise ValueError(f"--suite {args.suite} runs no checks with these bounds")
     passed = sum(1 for c in checks if c["pass"])
     report = build_report(
         "verify",
@@ -140,10 +118,7 @@ def _cmd_verify(args) -> int:
 def _cmd_construct(args) -> int:
     target = CONSTRUCT_TARGETS[args.target]
     kwargs = _flag_kwargs(target, args, CONSTRUCT_FLAGS, args.target)
-    try:
-        certificate = target(**kwargs)
-    except ValueError as exc:
-        raise UsageError(f"bad --g: {exc}") from exc
+    certificate = target(**kwargs)
     if args.target == "bielliptic-g6":
         certificate = count_vanishing_genus6(certificate)
     report = build_report("construct", {"target": args.target, **kwargs}, certificate)
@@ -194,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        parser.error("--threads must be at least 1")
     # open --json-out before the work starts, so a bad path costs nothing
     try:
         args.json_file = open(args.json_out, "w") if args.json_out else None
@@ -204,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         parser.error(str(exc))  # exits with status 2
         return 2  # unreachable, keeps type checkers happy
     except ModelError as exc:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .picard import ELLIPTIC, BaseCurveModel, EllipticModel, LineBundleClass, ModelError
 from .ramified import (
-    MAX_ENUMERATED_CHARS,
     RamifiedCoverSpec,
     RamifiedThetaChar,
     canonicalize,
@@ -34,6 +33,7 @@ from .ramified import (
     h0_theta,
     is_vanishing,
     parity,
+    refuse_over_budget,
     vanishing_theta_chars,
 )
 
@@ -178,17 +178,6 @@ def count_vanishing_genus6(config: BiellipticGenus6) -> dict:
     }
 
 
-def _refuse_over_budget(b: int, r: int) -> None:
-    """Refuse a cover whose enumeration would build more than
-    ``MAX_ENUMERATED_CHARS`` characteristics, before any work starts."""
-    total = count_total(b, r)
-    if total > MAX_ENUMERATED_CHARS:
-        raise ValueError(
-            f"genus {2 * b + r - 1} would enumerate {total} characteristics, "
-            f"over the bound of {MAX_ENUMERATED_CHARS}"
-        )
-
-
 def _mask_indices(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
@@ -239,7 +228,7 @@ def count_vanishing_generic_bielliptic(g: int, N: int = 240, seed: int = 0) -> d
     if g < 3:
         raise ValueError("a bielliptic cover of an elliptic base needs genus >= 3")
     r = g - 1
-    _refuse_over_budget(1, r)
+    refuse_over_budget(count_total(1, r), f"genus {g}")
     spec = sample_bielliptic_spec(r, N=N, seed=seed)
     vanishing = vanishing_theta_chars(spec)
     extras = [tc for tc in vanishing if tc.subset_size == r]
@@ -265,7 +254,7 @@ def hyperelliptic_report(g: int) -> dict:
     if g < 2:
         raise ValueError("hyperelliptic curves start at genus 2")
     r = g + 1
-    _refuse_over_budget(0, r)
+    refuse_over_budget(count_total(0, r), f"genus {g}")
     spec = RamifiedCoverSpec.rational(r)
     chars = enumerate_theta_chars(spec)
     vanishing = [tc for tc in chars if is_vanishing(spec, tc)]

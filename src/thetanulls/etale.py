@@ -77,9 +77,13 @@ class EtaleThetaChar:
 
 
 def canonical_form(spec: EtaleCoverSpec, q: QuadraticForm) -> EtaleThetaChar:
-    """Form-case representative: the smaller basis-value word of q and its
-    translate by the cover class."""
-    return EtaleThetaChar(form=min(q, q.translate(spec.cover_class), key=lambda f: f.basis_values))
+    """Form-case representative: of q and its translate by the cover class,
+    the one whose word has the top bit of ``swap_pairs(cover)`` clear, the
+    rule ``_canonical_words`` states."""
+    top = swap_pairs(spec.cover_class.bits).bit_length() - 1
+    if q.basis_values >> top & 1:
+        q = q.translate(spec.cover_class)
+    return EtaleThetaChar(form=q)
 
 
 def _canonical_words(dim: int, translation: int) -> Iterator[int]:
@@ -143,7 +147,10 @@ def vanishing_thetanulls(spec: EtaleCoverSpec) -> list[EtaleThetaChar]:
 
 
 def count_vanishing_enumerated(spec: EtaleCoverSpec) -> int:
-    """Size of ``vanishing_thetanulls(spec)``, counted on words."""
+    """Size of ``vanishing_thetanulls(spec)``, counted on words; refused
+    past ``MAX_ENUMERATION_B``."""
+    if spec.b > MAX_ENUMERATION_B:
+        raise ValueError(f"enumerating forms runs up to base genus {MAX_ENUMERATION_B}, got {spec.b}")
     return sum(1 for _ in _form_words(spec, value=0, arf=1))
 
 

@@ -242,6 +242,13 @@ def _check_args(b: int, r: int) -> None:
 MAX_ENUMERATED_CHARS = 1 << 18
 
 
+def refuse_over_budget(chars: int, what: str) -> None:
+    """Refuse ``what``, which would build ``chars`` characteristics, when
+    that is over ``MAX_ENUMERATED_CHARS``; called before any work starts."""
+    if chars > MAX_ENUMERATED_CHARS:
+        raise ValueError(f"{what} would enumerate more than {MAX_ENUMERATED_CHARS} characteristics")
+
+
 def count_total(b: int, r: int) -> int:
     """2^(2(g - b)) invariant theta characteristics, g = 2b + r - 1."""
     _check_args(b, r)

@@ -20,6 +20,9 @@ from .report import check
 
 T_SIZE_MAX_B = 8  # vanishing-set sizes are counted up to here, past --max-b
 CLOSURE_MAX_B = 4  # base genus up to which the cubic closure check runs
+# largest --max-b of the syzygetic suite: it checks C(|T|, 3) triples,
+# 280,840 at b = 5 and 20.2 M at b = 6
+SYZYGY_MAX_B = 5
 ORACLE_SAMPLES, ORACLE_MAX_DIM = 10000, 20  # random forms the oracle checks
 
 
@@ -58,7 +61,12 @@ def _counts_cell(cell: tuple[int, int, int]) -> list[dict]:
 
 def counts_suite(max_b: int = 3, max_r: int = 6, seed: int = 0, threads: int = 1) -> list[dict]:
     """Enumerated totals, parities and guaranteed vanishing counts against
-    the closed forms, for every base genus and branch half-count in range."""
+    the closed forms, for every base genus and branch half-count in range.
+    The largest cell, at (max_b, max_r), is held to the enumeration budget
+    before any cell or worker starts."""
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
+    ramified.refuse_over_budget(ramified.count_total(max_b, max_r), f"--max-b {max_b} --max-r {max_r}")
     cells = [(b, r, seed) for b in range(max_b + 1) for r in range(1, max_r + 1)]
     return _run_cells(_counts_cell, cells, threads)
 
@@ -93,9 +101,8 @@ def etale_suite(max_b: int = 6) -> list[dict]:
     """Unramified-case counts against the closed forms; vanishing-set sizes
     are cheap and run to a higher genus than the full enumerations.  The
     enumeration at ``max_b`` builds 2^(2 max_b) characteristics, so
-    ``max_b`` is refused past ``MAX_ENUMERATED_CHARS`` before any cell runs."""
-    if 4**max_b > ramified.MAX_ENUMERATED_CHARS:
-        raise ValueError(f"--max-b {max_b} enumerates {4**max_b} characteristics, over {ramified.MAX_ENUMERATED_CHARS}")
+    ``max_b`` is refused past the enumeration budget before any cell runs."""
+    ramified.refuse_over_budget(etale.closed_form_counts(max_b)["total"], f"--max-b {max_b}")
     return [c for b in range(1, max(max_b, T_SIZE_MAX_B) + 1) for c in _etale_cell(b, max_b)]
 
 
@@ -103,6 +110,8 @@ def syzygetic_suite(max_b: int = 5) -> list[dict]:
     """Every triple from the vanishing set is even; the set lies in the
     all-even affine subspace of dimension g - 1, which is closed under
     triple products."""
+    if max_b > SYZYGY_MAX_B:
+        raise ValueError(f"--max-b {max_b} is over {SYZYGY_MAX_B}, the most whose triples are checked")
     checks = []
     for b in range(2, max_b + 1):
         spec = etale.EtaleCoverSpec.default(b)

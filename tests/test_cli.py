@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,18 @@ def test_usage_errors_exit_2(capsys):
         ("verify --suite etale --threads 2", 2),
         ("verify --suite etale --max-b 10", 2),
         ("verify --suite etale --max-b 12", 2),
+        ("verify --suite etale --max-b 0", 2),
+        ("verify --suite etale --max-b -1", 2),
+        ("verify --suite counts --threads 0", 2),
+        ("verify --suite counts --max-r 8", 2),
+        ("verify --suite syzygetic --max-b 6", 2),
+        ("count --case ramified --b 0", 2),
+        ("count --case ramified --b -1 --r 1", 2),
+        ("count --case ramified --b 0 --r 0", 2),
+        ("count --case ramified --b 0 --r 48", 2),
+        ("count --case etale --b 0", 2),
+        ("count --case etale --b 24", 2),
+        ("count --case etale --b 3 --rho 01x100", 2),
         ("count --case ramified --b 0 --r 2 --rho 01", 2),
         ("construct hyperelliptic --g 1", 2),
         ("construct bielliptic-generic --g 2", 2),
@@ -119,6 +132,56 @@ def test_edge_inputs_keep_exit_code_contract(tmp_path, capsys, argv, expected):
     assert code == expected
     assert "Traceback" not in err
     assert "error" in err
+
+
+# a cheap run of each subcommand and choice, with the flags it is probed with
+COUNT_GRID_FLAGS = ("--b", "--r", "--rho")
+VERIFY_GRID_FLAGS = ("--max-b", "--max-r", "--seed", "--threads")
+CONSTRUCT_GRID_FLAGS = ("--g", "--N", "--seed")
+GRID_BASES = {
+    "count --case ramified --b 1 --r 1": COUNT_GRID_FLAGS,
+    "count --case etale --b 1": COUNT_GRID_FLAGS,
+    "verify --suite counts --max-b 0 --max-r 1": VERIFY_GRID_FLAGS,
+    "verify --suite identities --max-r 1": VERIFY_GRID_FLAGS,
+    "verify --suite etale --max-b 1": VERIFY_GRID_FLAGS,
+    "verify --suite syzygetic --max-b 2": VERIFY_GRID_FLAGS,
+    "verify --suite oracle": VERIFY_GRID_FLAGS,
+    "construct hyperelliptic --g 2": CONSTRUCT_GRID_FLAGS,
+    "construct bielliptic-generic --g 3": CONSTRUCT_GRID_FLAGS,
+    "construct bielliptic-g6": CONSTRUCT_GRID_FLAGS,
+}
+GRID_VALUES = ("-1", "0", "1", str(10**6))
+RHO_VALUES = ("", "0", "01", "2")
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("call ran past 30 s")
+
+
+@pytest.mark.parametrize("base", GRID_BASES)
+def test_edge_value_grid_keeps_exit_code_contract(capsys, base):
+    # each flag in turn at each edge value, appended so it overrides the base's
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    try:
+        for flag in GRID_BASES[base]:
+            for value in RHO_VALUES if flag == "--rho" else GRID_VALUES:
+                argv = [*base.split(), flag, value]
+                signal.alarm(30)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                finally:
+                    signal.alarm(0)
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2, 3), argv
+                assert "Traceback" not in err, argv
+                if code in (2, 3):
+                    assert "error" in err, argv
+                else:
+                    json.loads(out)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_construct_enumerates_once_per_call(monkeypatch, capsys):
