@@ -30,7 +30,7 @@ MAX_GENUS = 46
 # count flags; each case takes the ones its signature names, with its own defaults
 COUNT_FLAGS = ("b", "r", "rho")
 # verify flags, taken by each suite's function in the same way
-VERIFY_FLAGS = ("max_b", "max_r", "seed", "threads")
+VERIFY_FLAGS = ("max_b", "max_r", "seed")
 # construct flags, taken by each target's function in the same way
 CONSTRUCT_FLAGS = ("g", "N", "seed")
 CONSTRUCT_TARGETS = {
@@ -107,7 +107,7 @@ def _cmd_verify(args) -> int:
     passed = sum(1 for c in checks if c["pass"])
     report = build_report(
         "verify",
-        {"suite": args.suite, **{k: v for k, v in kwargs.items() if k != "threads"}},
+        {"suite": args.suite, **kwargs},
         {"checks_total": len(checks), "checks_passed": passed},
         checks,
     )
@@ -151,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-b", type=int, default=None)
     p_verify.add_argument("--max-r", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--threads", type=int, default=None, help="worker processes for the counts suite's cells")
     common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -2,17 +2,13 @@
 and oracle agreement.
 
 Each suite returns a flat list of check dicts and takes only CLI flags;
-fixed bounds are the constants below.  Only the counts suite takes a
-worker-pool size: above 1 its cells fan out to processes, and results
-come back in submission order so output never depends on the pool size.
+fixed bounds are the constants below.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 from . import etale, quadforms, ramified
 from .constructions import sample_bielliptic_spec
@@ -26,19 +22,7 @@ SYZYGY_MAX_B = 5
 ORACLE_SAMPLES, ORACLE_MAX_DIM = 10000, 20  # random forms the oracle checks
 
 
-def _run_cells(worker, cells, threads: int) -> list[dict]:
-    # never more workers than cells or CPUs: the pool starts them all at once
-    workers = min(threads, len(cells), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(worker, cells))
-    else:
-        blocks = [worker(cell) for cell in cells]
-    return [c for block in blocks for c in block]
-
-
-def _counts_cell(cell: tuple[int, int, int]) -> list[dict]:
-    b, r, seed = cell
+def _counts_cell(b: int, r: int, seed: int) -> list[dict]:
     if b == 0:
         spec = ramified.RamifiedCoverSpec.rational(r)
     elif b == 1:
@@ -59,16 +43,13 @@ def _counts_cell(cell: tuple[int, int, int]) -> list[dict]:
     ]
 
 
-def counts_suite(max_b: int = 3, max_r: int = 6, seed: int = 0, threads: int = 1) -> list[dict]:
+def counts_suite(max_b: int = 3, max_r: int = 6, seed: int = 0) -> list[dict]:
     """Enumerated totals, parities and guaranteed vanishing counts against
     the closed forms, for every base genus and branch half-count in range.
     The largest cell, at (max_b, max_r), is held to the enumeration budget
-    before any cell or worker starts."""
-    if threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {threads}")
+    before any cell starts."""
     ramified.refuse_over_budget(ramified.count_total(max_b, max_r), f"--max-b {max_b} --max-r {max_r}")
-    cells = [(b, r, seed) for b in range(max_b + 1) for r in range(1, max_r + 1)]
-    return _run_cells(_counts_cell, cells, threads)
+    return [c for b in range(max_b + 1) for r in range(1, max_r + 1) for c in _counts_cell(b, r, seed)]
 
 
 def identities_suite(max_r: int = 30) -> list[dict]:

@@ -96,6 +96,7 @@ def test_usage_errors_exit_2(capsys):
         ("verify --suite etale --max-b 0", 2),
         ("verify --suite etale --max-b -1", 2),
         ("verify --suite counts --threads 0", 2),
+        ("verify --suite counts --threads 2", 2),
         ("verify --suite counts --max-r 8", 2),
         ("verify --suite syzygetic --max-b 6", 2),
         ("count --case ramified --b 0", 2),
@@ -136,7 +137,7 @@ def test_edge_inputs_keep_exit_code_contract(tmp_path, capsys, argv, expected):
 
 # a cheap run of each subcommand and choice, with the flags it is probed with
 COUNT_GRID_FLAGS = ("--b", "--r", "--rho")
-VERIFY_GRID_FLAGS = ("--max-b", "--max-r", "--seed", "--threads")
+VERIFY_GRID_FLAGS = ("--max-b", "--max-r", "--seed")
 CONSTRUCT_GRID_FLAGS = ("--g", "--N", "--seed")
 GRID_BASES = {
     "count --case ramified --b 1 --r 1": COUNT_GRID_FLAGS,
@@ -213,7 +214,7 @@ def test_every_suite_parameter_is_a_verify_flag():
 def test_unwritable_json_out_refused_before_the_suite_runs(monkeypatch, capsys):
     calls = []
 
-    def fake_counts(max_b=3, max_r=6, seed=0, threads=1):
+    def fake_counts(max_b=3, max_r=6, seed=0):
         calls.append(max_r)
         return [check("fake", 0, 0)]
 
@@ -223,35 +224,6 @@ def test_unwritable_json_out_refused_before_the_suite_runs(monkeypatch, capsys):
     assert err.value.code == 2
     assert calls == []
     assert "--json-out" in capsys.readouterr().err
-
-
-def test_threads_clamped_to_cells_and_cpus(monkeypatch, capsys):
-    # a stand-in pool that records its size and runs in-process, so no
-    # worker is ever started whatever size is asked for
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    argv = ["verify", "--suite", "counts", "--max-b", "1", "--max-r", "3"]  # 6 cells
-    _, single = run_cli(capsys, *argv)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
-    for cpus, threads, expected in [(4, 100000, [4]), (64, 100000, [6]), (4, 3, [3]), (1, 8, []), (None, 8, [])]:
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        sizes.clear()
-        _, out = run_cli(capsys, *argv, "--threads", str(threads))
-        assert sizes == expected
-        assert out == single
 
 
 def test_model_error_exits_3(capsys):
@@ -275,12 +247,6 @@ def test_verify_identities(capsys):
 def test_verify_syzygetic_small(capsys):
     code, report = run_json(capsys, "verify", "--suite", "syzygetic", "--max-b", "3")
     assert code == 0
-
-
-def test_verify_threads_do_not_change_output(capsys):
-    _, single = run_cli(capsys, "verify", "--suite", "counts", "--max-b", "1", "--max-r", "3")
-    _, double = run_cli(capsys, "verify", "--suite", "counts", "--max-b", "1", "--max-r", "3", "--threads", "2")
-    assert single == double
 
 
 def test_construct_genus6(capsys):
@@ -316,16 +282,27 @@ def test_pretty_renders_same_data(capsys):
     assert out.startswith("command: count")
 
 
-def test_module_entry_point():
+def _child_env() -> dict:
     # the child finds the package in the checkout's src, installed or not
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "thetanulls", "count", "--case", "etale", "--b", "2"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["T_size"] == "1"
     assert "elapsed_ms=" in proc.stderr
+
+
+def test_cli_import_loads_no_process_pool():
+    # every call pays for what importing the CLI loads; verify runs in one process
+    code = "import sys, thetanulls.cli; print(*{m.split('.')[0] for m in sys.modules})"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert {"concurrent", "multiprocessing"}.isdisjoint(proc.stdout.split())

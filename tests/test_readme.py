@@ -1,9 +1,8 @@
 """The README's CLI examples print the bytes they printed when these
 digests were recorded.
 
-Two examples run differently from the README: the syzygetic suite runs
-with --max-b 4 to keep the run short, and the --threads 4 run is left to
-``test_verify_threads_do_not_change_output``.
+One example runs differently from the README: the syzygetic suite runs
+with --max-b 4 to keep the run short.
 """
 
 import hashlib
@@ -52,10 +51,9 @@ STDOUT_SHA256 = {
     ),
 }
 
-# README example -> the argv pinned for it (None: not run here)
+# README example -> the argv pinned for it
 SUBSTITUTES = {
     "verify --suite syzygetic --max-b 5": "verify --suite syzygetic --max-b 4",
-    "verify --suite counts --threads 4": None,
 }
 
 
@@ -68,7 +66,7 @@ def readme_examples() -> list[str]:
 
 
 def test_every_readme_example_is_pinned():
-    pinned = {SUBSTITUTES.get(example, example) for example in readme_examples()} - {None}
+    pinned = {SUBSTITUTES.get(example, example) for example in readme_examples()}
     assert pinned == set(STDOUT_SHA256)
 
 
