@@ -42,9 +42,9 @@ CONSTRUCT_TARGETS = {
 
 def _emit(report: dict, args) -> None:
     text = dumps(report)
-    if args.json_file:
+    if args.json_out:
         try:
-            with args.json_file as fh:
+            with open(args.json_out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --json-out: {exc}") from exc
@@ -168,9 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # open --json-out before the work starts, so a bad path costs nothing
+    # open --json-out before the work starts, so a bad path costs nothing; it
+    # is held in append mode, and only a report to write truncates the file
     try:
-        args.json_file = open(args.json_out, "w") if args.json_out else None
+        args.json_file = open(args.json_out, "a") if args.json_out else None
     except OSError as exc:
         parser.error(f"cannot write --json-out: {exc}")
     started = time.monotonic()

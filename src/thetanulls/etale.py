@@ -16,8 +16,9 @@ of whose members are even, and is syzygetic (triple products stay even).
 Only the generic vanishing mechanism (odd base bundle) is modelled;
 accidental vanishing on special bases is out of scope.
 
-Forms are enumerated and filtered as basis-value words; characteristic
-objects are built only for the words a caller receives.
+A root-case characteristic is its ``GF2Vector`` label and a form-case
+one its canonical ``QuadraticForm``; forms are enumerated and filtered
+as basis-value words, and built only for the words a caller receives.
 """
 
 from __future__ import annotations
@@ -60,30 +61,18 @@ class EtaleCoverSpec:
         return cls(b, GF2Vector(1, 2 * b))
 
 
-@dataclass(frozen=True)
-class EtaleThetaChar:
-    """Tagged union: a twist-class label (root case) or a quadratic form."""
-
-    root_label: GF2Vector | None = None
-    form: QuadraticForm | None = None
-
-    def __post_init__(self) -> None:
-        if (self.root_label is None) == (self.form is None):
-            raise ValueError("exactly one of root_label and form must be set")
-
-    @property
-    def is_root_case(self) -> bool:
-        return self.root_label is not None
+# a twist-class label (root case) or a canonical quadratic form (form case)
+EtaleThetaChar = GF2Vector | QuadraticForm
 
 
-def canonical_form(spec: EtaleCoverSpec, q: QuadraticForm) -> EtaleThetaChar:
+def canonical_form(spec: EtaleCoverSpec, q: QuadraticForm) -> QuadraticForm:
     """Form-case representative: of q and its translate by the cover class,
     the one whose word has the top bit of ``swap_pairs(cover)`` clear, the
     rule ``_canonical_words`` states."""
     top = swap_pairs(spec.cover_class.bits).bit_length() - 1
     if q.basis_values >> top & 1:
         q = q.translate(spec.cover_class)
-    return EtaleThetaChar(form=q)
+    return q
 
 
 def _canonical_words(dim: int, translation: int) -> Iterator[int]:
@@ -113,30 +102,24 @@ def _form_words(spec: EtaleCoverSpec, value: int | None = None, arf: int | None 
         yield bv
 
 
-def _form_chars(spec: EtaleCoverSpec, words: Iterator[int]) -> list[EtaleThetaChar]:
+def _form_chars(spec: EtaleCoverSpec, words: Iterator[int]) -> list[QuadraticForm]:
     dim = 2 * spec.b
-    return [EtaleThetaChar(form=QuadraticForm(dim, bv)) for bv in words]
+    return [QuadraticForm(dim, bv) for bv in words]
 
 
 def enumerate_etale(spec: EtaleCoverSpec) -> list[EtaleThetaChar]:
     """All 2^(g+1) invariant theta characteristics, root cases first."""
     dim = 2 * spec.b
-    out = [
-        EtaleThetaChar(root_label=GF2Vector(bits, dim))
-        for bits in _canonical_words(dim, spec.cover_class.bits)
-    ]
-    out.extend(_form_chars(spec, _form_words(spec)))
-    return out
+    roots = [GF2Vector(bits, dim) for bits in _canonical_words(dim, spec.cover_class.bits)]
+    return roots + _form_chars(spec, _form_words(spec))
 
 
 def parity_etale(spec: EtaleCoverSpec, tc: EtaleThetaChar) -> int:
     """Root cases are even; form cases have parity q(cover)."""
-    if tc.is_root_case:
-        return 0
-    return tc.form(spec.cover_class)
+    return 0 if isinstance(tc, GF2Vector) else tc(spec.cover_class)
 
 
-def vanishing_thetanulls(spec: EtaleCoverSpec) -> list[EtaleThetaChar]:
+def vanishing_thetanulls(spec: EtaleCoverSpec) -> list[QuadraticForm]:
     """The canonical forms with q(cover) = 0 and Arf invariant 1.
 
     Well defined on representatives: translating by the cover class
@@ -177,7 +160,7 @@ def closed_form_counts(b: int) -> dict:
     }
 
 
-def even_subspace(spec: EtaleCoverSpec) -> list[EtaleThetaChar]:
+def even_subspace(spec: EtaleCoverSpec) -> list[QuadraticForm]:
     """The affine subspace {q(cover) = 0} of size 2^(g-1), all even; it
     contains every vanishing thetanull and is closed under triple
     products."""
@@ -187,15 +170,14 @@ def even_subspace(spec: EtaleCoverSpec) -> list[EtaleThetaChar]:
 def _triple_form(t1: EtaleThetaChar, t2: EtaleThetaChar, t3: EtaleThetaChar) -> QuadraticForm:
     """The form of t2 (x) t3 (x) t1^{-1}: t1 translated by the affine
     differences that lead from it to t2 and to t3."""
-    if t1.is_root_case or t2.is_root_case or t3.is_root_case:
+    if isinstance(t1, GF2Vector) or isinstance(t2, GF2Vector) or isinstance(t3, GF2Vector):
         raise ValueError("triple products are only defined within the form case")
-    q1 = t1.form
-    return q1.translate(affine_difference(q1, t2.form) + affine_difference(q1, t3.form))
+    return t1.translate(affine_difference(t1, t2) + affine_difference(t1, t3))
 
 
 def triple_product(
     spec: EtaleCoverSpec, t1: EtaleThetaChar, t2: EtaleThetaChar, t3: EtaleThetaChar
-) -> EtaleThetaChar:
+) -> QuadraticForm:
     """The theta characteristic t2 (x) t3 (x) t1^{-1} via the affine structure."""
     return canonical_form(spec, _triple_form(t1, t2, t3))
 

@@ -22,7 +22,7 @@ def swap_pairs(bits: int) -> int:
     return ((bits & EVEN_POSITIONS) << 1) | ((bits >> 1) & EVEN_POSITIONS)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class GF2Vector:
     """Vector in GF(2)^dim with coordinates packed little-endian into ``bits``."""
 

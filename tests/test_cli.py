@@ -275,6 +275,19 @@ def test_json_out_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_refused_or_failed_run_leaves_json_out_intact(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_bytes(b'{"old": 1}')
+    for argv, expected in (("verify --suite counts --max-r 8", 2), ("construct bielliptic-g6 --N 4", 3)):
+        try:
+            code = main([*argv.split(), "--json-out", str(target)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == expected, argv
+        assert target.read_bytes() == b'{"old": 1}', argv
+    capsys.readouterr()
+
+
 def test_pretty_renders_same_data(capsys):
     code, out = run_cli(capsys, "count", "--case", "ramified", "--b", "1", "--r", "5", "--pretty")
     assert code == 0

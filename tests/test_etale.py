@@ -5,7 +5,6 @@ import pytest
 
 from thetanulls.etale import (
     EtaleCoverSpec,
-    EtaleThetaChar,
     canonical_form,
     closed_form_counts,
     count_vanishing,
@@ -30,18 +29,11 @@ def test_spec_validation():
         EtaleCoverSpec(2, GF2Vector(1, 2))
 
 
-def test_char_is_tagged_union():
-    with pytest.raises(ValueError):
-        EtaleThetaChar()
-    with pytest.raises(ValueError):
-        EtaleThetaChar(root_label=GF2Vector(1, 2), form=QuadraticForm.__new__(QuadraticForm))
-
-
 def test_enumeration_sizes():
     assert len(enumerate_etale(EtaleCoverSpec.default(1))) == 4
     chars = enumerate_etale(EtaleCoverSpec.default(2))
     assert len(chars) == 16
-    assert sum(1 for t in chars if t.is_root_case) == 8
+    assert sum(1 for t in chars if isinstance(t, GF2Vector)) == 8
     assert len(enumerate_etale(EtaleCoverSpec.default(3))) == 64
 
 
@@ -50,10 +42,26 @@ def test_enumeration_distinct_and_canonical():
     chars = enumerate_etale(spec)
     assert len(set(chars)) == len(chars)
     for tc in chars:
-        if tc.is_root_case:
-            assert tc.root_label <= tc.root_label + spec.cover_class
+        if isinstance(tc, GF2Vector):
+            assert tc.bits <= (tc + spec.cover_class).bits
         else:
-            assert canonical_form(spec, tc.form) == tc
+            assert canonical_form(spec, tc) == tc
+
+
+def test_characteristics_are_root_labels_then_forms():
+    for b in range(1, 5):
+        spec = EtaleCoverSpec.default(b)
+        half = 1 << (2 * b - 1)
+        chars = enumerate_etale(spec)
+        assert [type(tc) for tc in chars] == [GF2Vector] * half + [QuadraticForm] * half
+        evens = even_subspace(spec)
+        returned = (
+            [canonical_form(spec, q) for q in chars[half:]]
+            + [triple_product(spec, *triple) for triple in itertools.product(evens[:3], repeat=3)]
+            + vanishing_thetanulls(spec)
+            + evens
+        )
+        assert all(type(tc) is QuadraticForm for tc in returned)
 
 
 def test_parity_counts():
@@ -62,10 +70,10 @@ def test_parity_counts():
     assert parities.count(0) == 12  # 3 * 2^(g-1)
     assert parities.count(1) == 4  # 2^(g-1)
     for t in enumerate_etale(spec):
-        if t.is_root_case:
+        if isinstance(t, GF2Vector):
             assert parity_etale(spec, t) == 0
         else:
-            assert parity_etale(spec, t) == t.form(spec.cover_class)
+            assert parity_etale(spec, t) == t(spec.cover_class)
 
 
 def test_parity_counts_up_to_b6():
@@ -108,7 +116,7 @@ def test_vanishing_set_sizes():
             assert len(T) == (1 << (g - 2)) - (1 << ((g - 3) // 2))
         for tc in T:
             assert parity_etale(spec, tc) == 0
-            assert tc.form.arf() == 1 and tc.form(spec.cover_class) == 0
+            assert tc.arf() == 1 and tc(spec.cover_class) == 0
 
 
 def test_canonicalization_well_defined():
@@ -144,7 +152,7 @@ def test_triple_with_odd_member_is_odd():
     odd_forms = [
         t
         for t in enumerate_etale(spec)
-        if not t.is_root_case and t.form(spec.cover_class) == 1
+        if not isinstance(t, GF2Vector) and t(spec.cover_class) == 1
     ]
     for t1 in evens:
         for t2 in evens:
@@ -154,8 +162,8 @@ def test_triple_with_odd_member_is_odd():
 
 def test_triple_product_root_case_unsupported():
     spec = EtaleCoverSpec.default(2)
-    root = next(t for t in enumerate_etale(spec) if t.is_root_case)
-    form = next(t for t in enumerate_etale(spec) if not t.is_root_case)
+    root = next(t for t in enumerate_etale(spec) if isinstance(t, GF2Vector))
+    form = next(t for t in enumerate_etale(spec) if not isinstance(t, GF2Vector))
     with pytest.raises(ValueError):
         triple_parity(spec, root, form, form)
 
@@ -212,14 +220,15 @@ def test_word_filters_match_the_object_route():
     for spec in _cover_specs():
         rho = spec.cover_class
         chars = enumerate_etale(spec)
-        roots = [tc.root_label for tc in chars if tc.is_root_case]
-        forms = [tc for tc in chars if not tc.is_root_case]
+        roots = [tc for tc in chars if isinstance(tc, GF2Vector)]
+        forms = [tc for tc in chars if not isinstance(tc, GF2Vector)]
         vecs = [GF2Vector(bits, rho.dim) for bits in range(1 << rho.dim)]
-        assert roots == sorted({min(v, v + rho) for v in vecs})
+        labels = {min(v, v + rho, key=lambda u: u.bits) for v in vecs}
+        assert roots == sorted(labels, key=lambda u: u.bits)
         canonical = {canonical_form(spec, q) for q in all_forms(2 * spec.b)}
-        assert forms == sorted(canonical, key=lambda tc: tc.form.basis_values)
-        even = [tc for tc in forms if tc.form(rho) == 0]
-        vanishing = [tc for tc in even if tc.form.arf() == 1]
+        assert forms == sorted(canonical, key=lambda tc: tc.basis_values)
+        even = [tc for tc in forms if tc(rho) == 0]
+        vanishing = [tc for tc in even if tc.arf() == 1]
         assert even_subspace(spec) == even
         assert vanishing_thetanulls(spec) == vanishing
         assert count_vanishing_enumerated(spec) == len(vanishing)

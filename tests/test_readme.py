@@ -1,5 +1,5 @@
 """The README's CLI examples print the bytes they printed when these
-digests were recorded.
+digests were recorded, and its library example runs.
 
 One example runs differently from the README: the syzygetic suite runs
 with --max-b 4 to keep the run short.
@@ -75,3 +75,9 @@ def test_readme_example_stdout(capsys, example):
     assert main(example.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[example]
+
+
+def test_readme_library_example_runs():
+    blocks = README.read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```")[0], {})
