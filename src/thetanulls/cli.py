@@ -15,7 +15,6 @@ import time
 
 from . import etale, ramified
 from .constructions import (
-    build_bielliptic_genus6,
     count_vanishing_generic_bielliptic,
     count_vanishing_genus6,
     hyperelliptic_report,
@@ -27,28 +26,11 @@ from .verify import SUITES
 
 MAX_GENUS = 46
 
-# count flags; each case takes the ones its signature names, with its own defaults
-COUNT_FLAGS = ("b", "r", "rho")
-# verify flags, taken by each suite's function in the same way
-VERIFY_FLAGS = ("max_b", "max_r", "seed")
-# construct flags, taken by each target's function in the same way
-CONSTRUCT_FLAGS = ("g", "N", "seed")
 CONSTRUCT_TARGETS = {
-    "bielliptic-g6": build_bielliptic_genus6,
+    "bielliptic-g6": count_vanishing_genus6,
     "bielliptic-generic": count_vanishing_generic_bielliptic,
     "hyperelliptic": hyperelliptic_report,
 }
-
-
-def _emit(report: dict, args) -> None:
-    text = dumps(report)
-    if args.json_out:
-        try:
-            with open(args.json_out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write --json-out: {exc}") from exc
-    sys.stdout.write(render_pretty(report) if args.pretty else text)
 
 
 def _checked_genus(g: int) -> int:
@@ -74,13 +56,13 @@ def _etale_counts(b: int, rho: str | None = None) -> dict:
 
 COUNT_CASES = {"ramified": _ramified_counts, "etale": _etale_counts}
 
-
-def _cmd_count(args) -> int:
-    case = COUNT_CASES[args.case]
-    kwargs = _flag_kwargs(case, args, COUNT_FLAGS, f"--case {args.case}")
-    params = {"case": args.case, **{k: v for k, v in kwargs.items() if v is not None}}
-    _emit(build_report("count", params, case(**kwargs)), args)
-    return 0
+# subcommand -> (argument that picks the function, functions, flags); each function takes
+# the flags its signature names, with its own defaults.  SUITES is held, not copied.
+COMMANDS = {
+    "count": ("case", COUNT_CASES, ("b", "r", "rho")),
+    "verify": ("suite", SUITES, ("max_b", "max_r", "seed")),
+    "construct": ("target", CONSTRUCT_TARGETS, ("g", "N", "seed")),
+}
 
 
 def _flag_kwargs(func, args, flags: tuple[str, ...], name: str) -> dict:
@@ -98,32 +80,29 @@ def _flag_kwargs(func, args, flags: tuple[str, ...], name: str) -> dict:
     return kwargs
 
 
-def _cmd_verify(args) -> int:
-    suite = SUITES[args.suite]
-    kwargs = _flag_kwargs(suite, args, VERIFY_FLAGS, f"--suite {args.suite}")
-    checks = suite(**kwargs)
-    if not checks:
-        raise ValueError(f"--suite {args.suite} runs no checks with these bounds")
-    passed = sum(1 for c in checks if c["pass"])
-    report = build_report(
-        "verify",
-        {"suite": args.suite, **kwargs},
-        {"checks_total": len(checks), "checks_passed": passed},
-        checks,
-    )
-    _emit(report, args)
-    return 0 if passed == len(checks) else 1
-
-
-def _cmd_construct(args) -> int:
-    target = CONSTRUCT_TARGETS[args.target]
-    kwargs = _flag_kwargs(target, args, CONSTRUCT_FLAGS, args.target)
-    certificate = target(**kwargs)
-    if args.target == "bielliptic-g6":
-        certificate = count_vanishing_genus6(certificate)
-    report = build_report("construct", {"target": args.target, **kwargs}, certificate)
-    _emit(report, args)
-    return 0
+def _run(args) -> int:
+    """Run the chosen function on its flags and emit the report; a suite's checks follow their totals."""
+    selector, table, flags = COMMANDS[args.command]
+    choice = getattr(args, selector)
+    name = f"{args.command} {choice}"
+    kwargs = _flag_kwargs(table[choice], args, flags, name)
+    results, checks = table[choice](**kwargs), None
+    if isinstance(results, list):
+        if not results:
+            raise ValueError(f"{name} runs no checks with these bounds")
+        checks = results
+        results = {"checks_total": len(checks), "checks_passed": sum(1 for c in checks if c["pass"])}
+    params = {selector: choice, **{k: v for k, v in kwargs.items() if v is not None}}
+    report = build_report(args.command, params, results, checks)
+    text = dumps(report)
+    if args.json_out:
+        try:
+            with open(args.json_out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --json-out: {exc}") from exc
+    sys.stdout.write(render_pretty(report) if args.pretty else text)
+    return 0 if report.get("checks_passed", True) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,11 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="closed-form counts")
     p_count.add_argument("--case", choices=["ramified", "etale"], required=True)
-    p_count.add_argument("--b", type=int, required=True, help="base genus")
+    p_count.add_argument("--b", type=int, default=None, help="base genus")
     p_count.add_argument("--r", type=int, default=None, help="half the number of branch points")
     p_count.add_argument("--rho", default=None, help="etale cover class as a 0/1 string of length 2b")
     common(p_count)
-    p_count.set_defaults(func=_cmd_count)
 
     p_verify = sub.add_parser("verify", help="enumeration-vs-formula and oracle suites")
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
@@ -152,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-r", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
     common(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
 
     p_construct = sub.add_parser("construct", help="end-to-end constructions with certificates")
     p_construct.add_argument("target", choices=sorted(CONSTRUCT_TARGETS))
@@ -160,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--seed", type=int, default=None)
     p_construct.add_argument("--g", type=int, default=None, help="curve genus")
     common(p_construct)
-    p_construct.set_defaults(func=_cmd_construct)
 
     return parser
 
@@ -176,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"cannot write --json-out: {exc}")
     started = time.monotonic()
     try:
-        code = args.func(args)
+        code = _run(args)
     except ValueError as exc:
         parser.error(str(exc))  # exits with status 2
         return 2  # unreachable, keeps type checkers happy

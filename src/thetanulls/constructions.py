@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .picard import ELLIPTIC, BaseCurveModel, EllipticModel, LineBundleClass, ModelError
 from .ramified import (
@@ -83,6 +84,7 @@ class BiellipticGenus6:
         doubled = _add(self.pencil_point, self.pencil_point, N)
         return LineBundleClass(ELLIPTIC, 5, _add(doubled, self.base_point, N))
 
+    @cached_property
     def spec(self) -> RamifiedCoverSpec:
         return RamifiedCoverSpec(self.model, 5, self.branch_points, self.cover_class)
 
@@ -131,7 +133,7 @@ def build_bielliptic_genus6(N: int = 240, seed: int = 0) -> BiellipticGenus6:
         points = [p for pair in pairs for p in pair] + list(triple) + [base]
         if len(set(points)) == 10:
             config = BiellipticGenus6(model, seed, base, pencil, tuple(pairs), triple)
-            config.spec()  # runs the branch-data invariants
+            config.spec  # runs the branch-data invariants once; the spec is cached
             return config
     raise ModelError(
         f"could not sample 10 distinct construction points in {MAX_ATTEMPTS} attempts; "
@@ -139,15 +141,16 @@ def build_bielliptic_genus6(N: int = 240, seed: int = 0) -> BiellipticGenus6:
     )
 
 
-def count_vanishing_genus6(config: BiellipticGenus6) -> dict:
-    """Exact vanishing-thetanull count with a certificate.
+def count_vanishing_genus6(N: int = 240, seed: int = 0) -> dict:
+    """Exact vanishing-thetanull count of ``build_bielliptic_genus6(N, seed)``, with a certificate.
 
     The certificate lists the guaranteed characteristics (subset smaller
     than 5), every extra (full-size subset with sections), and the
     presence check for the three forced extras: trivial bundle, subset =
     pair_i + pair_j + base point, 2 sections each.
     """
-    spec = config.spec()
+    config = build_bielliptic_genus6(N, seed)
+    spec = config.spec
     vanishing = vanishing_theta_chars(spec)
     generic = [tc for tc in vanishing if tc.subset_size < spec.r]
     extras = [tc for tc in vanishing if tc.subset_size == spec.r]

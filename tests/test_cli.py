@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from thetanulls import ramified, verify
-from thetanulls.cli import VERIFY_FLAGS, main
+from thetanulls.cli import COMMANDS, build_parser, main
 from thetanulls.report import check
 
 
@@ -161,6 +162,10 @@ def _timeout(signum, frame):
 
 @pytest.mark.parametrize("base", GRID_BASES)
 def test_edge_value_grid_keeps_exit_code_contract(capsys, base):
+    # every choice of every subcommand has a base, so none ships unprobed
+    bases = [b.split() for b in GRID_BASES]
+    probed = {(words[0], next(w for w in words if w in COMMANDS[words[0]][1])) for words in bases}
+    assert probed == {(command, choice) for command, (_, table, _) in COMMANDS.items() for choice in table}
     # each flag in turn at each edge value, appended so it overrides the base's
     previous = signal.signal(signal.SIGALRM, _timeout)
     try:
@@ -204,11 +209,32 @@ def test_construct_enumerates_once_per_call(monkeypatch, capsys):
     assert sizes == [1024]
 
 
-def test_every_suite_parameter_is_a_verify_flag():
+def test_every_parameter_is_a_flag_of_its_subcommand():
     # a parameter no flag can set would be a knob only code could turn
-    for name, suite in verify.SUITES.items():
-        params = set(inspect.signature(suite).parameters)
-        assert params <= set(VERIFY_FLAGS), (name, params - set(VERIFY_FLAGS))
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, (selector, table, flags) in COMMANDS.items():
+        actions = {a.dest: a for a in subparsers.choices[command]._actions}
+        assert set(actions[selector].choices) == set(table), command
+        assert all(actions[flag].option_strings for flag in flags), command
+        for choice, func in table.items():
+            params = set(inspect.signature(func).parameters)
+            assert params <= set(flags), (command, choice, params - set(flags))
+
+
+def test_failing_check_exits_1(monkeypatch, tmp_path, capsys):
+    def fake_counts(max_b=3, max_r=6, seed=0):
+        return [check("fake", 0, 1)]
+
+    monkeypatch.setitem(verify.SUITES, "counts", fake_counts)
+    target = tmp_path / "report.json"
+    code, out = run_cli(capsys, "verify", "--suite", "counts", "--json-out", str(target))
+    assert code == 1
+    assert json.loads(out)["checks_passed"] is False
+    assert target.read_text() == out
+    code, out = run_cli(capsys, "verify", "--suite", "counts", "--pretty")
+    assert code == 1
+    assert '[FAIL] fake (expected="0", actual="1")' in out.splitlines()
+    assert out.endswith("checks passed: False\n")
 
 
 def test_unwritable_json_out_refused_before_the_suite_runs(monkeypatch, capsys):

@@ -42,7 +42,7 @@ def test_build_invariants():
         assert divisor_class(m, config.triple_divisor) == twist
         assert config.cover_class.degree == 5
         assert m.tensor(config.cover_class, config.cover_class) == divisor_class(m, points)
-        spec = config.spec()
+        spec = config.spec
         assert 2 * spec.b + spec.r - 1 == 6 and spec.b == 1 and spec.r == 5
 
 
@@ -51,8 +51,7 @@ def test_build_is_deterministic():
 
 
 def test_genus6_count_and_certificate():
-    config = build_bielliptic_genus6(seed=0)
-    cert = count_vanishing_genus6(config)
+    cert = count_vanishing_genus6(seed=0)
     assert cert["count"] == 43
     assert cert["guaranteed_lower_bound"] == 40
     assert len(cert["generic"]) == 40
@@ -65,7 +64,7 @@ def test_genus6_count_and_certificate():
 
 def test_genus6_forced_extras_every_seed():
     for seed in range(10):
-        cert = count_vanishing_genus6(build_bielliptic_genus6(seed=seed))
+        cert = count_vanishing_genus6(seed=seed)
         assert cert["count"] >= 43
         assert cert["forced_extras_present"]
         for entry in cert["forced_extras"]:
@@ -76,7 +75,7 @@ def test_forced_subset_and_complement_are_one_characteristic():
     # the 5 points of pencil_1 + pencil_2 + base and the complementary
     # pencil_3 + twist-divisor present the same theta characteristic
     config = build_bielliptic_genus6(seed=0)
-    spec = config.spec()
+    spec = config.spec
     trivial = spec.model.trivial()
     mask_a = config.forced_subset_masks()[0]  # pairs 1,2 + base point
     mask_b = spec.full_mask ^ mask_a  # pair 3 + triple divisor
@@ -88,7 +87,7 @@ def test_forced_subset_and_complement_are_one_characteristic():
 
 def test_genus6_vanishing_breakdown():
     config = build_bielliptic_genus6(seed=3)
-    spec = config.spec()
+    spec = config.spec
     chars = enumerate_theta_chars(spec)
     vanishing = [tc for tc in chars if is_vanishing(spec, tc)]
     # the 40 guaranteed ones all have small subsets; extras are full-size

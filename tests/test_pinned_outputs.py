@@ -1,8 +1,10 @@
 """Outputs the README examples do not reach print the bytes they printed
 when these digests were recorded: a hyperelliptic character list with
 rational-model section counts, a generic bielliptic cover with extras,
-a pretty-printed genus-6 certificate, and the largest counts suite the
-enumeration budget accepts, whose cell (3, 7) builds 4^9 characteristics."""
+a pretty-printed genus-6 certificate, the largest counts suite the
+enumeration budget accepts, whose cell (3, 7) builds 4^9 characteristics,
+and the pretty renderings of a verify suite's PASS lines and of a count
+report."""
 
 import hashlib
 
@@ -23,6 +25,12 @@ STDOUT_SHA256 = {
     ),
     "verify --suite counts --max-r 7": (
         "cc62e15772e73a9dd4a26074bc685ddf09f4279f88057911aae3793ed12a47ae"
+    ),
+    "verify --suite identities --max-r 3 --pretty": (
+        "dbbe89da86b4793762080971b005b92936bdbb94bf47b2c3e360f16988d839c7"
+    ),
+    "count --case etale --b 3 --rho 010000 --pretty": (
+        "988624529a3907a51878f55ba1954fce64cad4efd851aa5daef62fa77c7539e8"
     ),
 }
 
