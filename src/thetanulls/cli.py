@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 import time
 
@@ -145,12 +146,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # open --json-out before the work starts, so a bad path costs nothing; it
-    # is held in append mode, and only a report to write truncates the file
+    # is held in append mode, only a report to write truncates the file, and
+    # a file this probe created is removed again when no report is written
+    created = args.json_out and not os.path.lexists(args.json_out)
     try:
         args.json_file = open(args.json_out, "a") if args.json_out else None
     except OSError as exc:
         parser.error(f"cannot write --json-out: {exc}")
     started = time.monotonic()
+    code = None
     try:
         code = _run(args)
     except ValueError as exc:
@@ -162,6 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if args.json_file:
             args.json_file.close()
+        if created and code is None:
+            os.remove(args.json_out)
     print(f"elapsed_ms={int(1000 * (time.monotonic() - started))}", file=sys.stderr)
     return code
 

@@ -28,7 +28,6 @@ from .ramified import (
     RamifiedThetaChar,
     canonicalize,
     closed_form_counts,
-    count_total,
     count_vanishing_lb,
     enumerate_theta_chars,
     h0_theta,
@@ -231,7 +230,7 @@ def count_vanishing_generic_bielliptic(g: int, N: int = 240, seed: int = 0) -> d
     if g < 3:
         raise ValueError("a bielliptic cover of an elliptic base needs genus >= 3")
     r = g - 1
-    refuse_over_budget(count_total(1, r), f"genus {g}")
+    refuse_over_budget(g - 1, f"genus {g}")
     spec = sample_bielliptic_spec(r, N=N, seed=seed)
     vanishing = vanishing_theta_chars(spec)
     extras = [tc for tc in vanishing if tc.subset_size == r]
@@ -257,7 +256,7 @@ def hyperelliptic_report(g: int) -> dict:
     if g < 2:
         raise ValueError("hyperelliptic curves start at genus 2")
     r = g + 1
-    refuse_over_budget(count_total(0, r), f"genus {g}")
+    refuse_over_budget(g, f"genus {g}")
     spec = RamifiedCoverSpec.rational(r)
     chars = enumerate_theta_chars(spec)
     vanishing = [tc for tc in chars if is_vanishing(spec, tc)]

@@ -242,10 +242,11 @@ def _check_args(b: int, r: int) -> None:
 MAX_ENUMERATED_CHARS = 1 << 18
 
 
-def refuse_over_budget(chars: int, what: str) -> None:
-    """Refuse ``what``, which would build ``chars`` characteristics, when
-    that is over ``MAX_ENUMERATED_CHARS``; called before any work starts."""
-    if chars > MAX_ENUMERATED_CHARS:
+def refuse_over_budget(k: int, what: str) -> None:
+    """Refuse ``what``, which would build 4^k characteristics, when that is
+    over ``MAX_ENUMERATED_CHARS``; called before any work starts, it compares
+    exponents of 2, so it never builds the count it bounds."""
+    if 2 * k > MAX_ENUMERATED_CHARS.bit_length() - 1:
         raise ValueError(f"{what} would enumerate more than {MAX_ENUMERATED_CHARS} characteristics")
 
 

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -302,15 +303,22 @@ def test_json_out_matches_stdout(tmp_path, capsys):
 
 
 def test_refused_or_failed_run_leaves_json_out_intact(tmp_path, capsys):
-    target = tmp_path / "report.json"
+    # a file that existed keeps its bytes; one that did not is not left behind
+    target, missing = tmp_path / "report.json", tmp_path / "new.json"
     target.write_bytes(b'{"old": 1}')
-    for argv, expected in (("verify --suite counts --max-r 8", 2), ("construct bielliptic-g6 --N 4", 3)):
-        try:
-            code = main([*argv.split(), "--json-out", str(target)])
-        except SystemExit as exc:
-            code = exc.code
-        assert code == expected, argv
+    for argv, expected in (
+        ("verify --suite counts --max-r 8", 2),
+        ("construct bielliptic-g6 --N 4", 3),
+        ("count --case etale --b 0", 2),
+    ):
+        for path in (target, missing):
+            try:
+                code = main([*argv.split(), "--json-out", str(path)])
+            except SystemExit as exc:
+                code = exc.code
+            assert code == expected, (argv, path)
         assert target.read_bytes() == b'{"old": 1}', argv
+        assert not missing.exists(), argv
     capsys.readouterr()
 
 
@@ -345,3 +353,26 @@ def test_cli_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert {"concurrent", "multiprocessing"}.isdisjoint(proc.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "construct hyperelliptic --g 10000000",
+        "construct bielliptic-generic --g 10000000",
+        "verify --suite counts --max-r 10000000",
+        "verify --suite etale --max-b 10000000",
+    ],
+)
+def test_over_budget_refusal_builds_nothing_it_bounds(capsys, argv):
+    # 4^k characteristics at k = 10^7 is a 2.5 MB integer; the refusal compares exponents
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            main(argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == 2
+    assert "would enumerate more than" in capsys.readouterr().err
+    assert peak < 1_000_000

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,28 @@ def test_swap_is_involution_preserving_everything():
             assert parity(spec, other) == parity(spec, tc)
             assert h0_theta(spec, other) == h0_theta(spec, tc)
             assert is_vanishing(spec, other) == is_vanishing(spec, tc)
+
+
+def test_random_elliptic_specs_keep_representations_and_counts():
+    # seeded property loop over elliptic models other than the default N = 240
+    rng = random.Random(2012)
+    for _ in range(12):
+        r, N = rng.randint(2, 5), 4 * rng.randint(16, 79)
+        spec = sample_bielliptic_spec(r, N=N, seed=rng.randrange(1 << 30))
+        chars = enumerate_theta_chars(spec)
+        for tc in chars:
+            other = swap_representation(spec, tc)
+            assert swap_representation(spec, other) == tc
+            assert canonicalize(spec, other) == tc
+            assert canonicalize(spec, tc) == tc
+        parities = [parity(spec, tc) for tc in chars]
+        counts = {
+            "total": len(chars),
+            "even": parities.count(0),
+            "odd": parities.count(1),
+            "vanishing_lb": sum(1 for tc, p in zip(chars, parities) if p == 0 and tc.subset_size < r),
+        }
+        assert counts == closed_form_counts(1, r), (r, N)
 
 
 def test_h0_routes_agree_and_match_parity():

@@ -2,10 +2,9 @@
 package itself: no code there is reached only from the tests.
 
 A definition counts as used when its name is read somewhere in the
-package outside its own body, as a bare name or as an attribute.  The
-re-exports in ``__init__.py`` do not count, and dunder methods are left
-out because Python calls them implicitly.  The oracles that exist only to
-cross-check a primary path are named below.
+package outside its own body, as a bare name or as an attribute.  Dunder
+methods are left out because Python calls them implicitly.  The oracles
+that exist only to cross-check a primary path are named below.
 """
 
 import ast
@@ -44,7 +43,6 @@ def test_no_definition_is_reached_only_from_tests():
     modules = {
         path.stem: ast.parse(path.read_text())
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
     }
     reads = {module: list(_reads(tree)) for module, tree in modules.items()}
     unused = []
@@ -60,3 +58,17 @@ def test_no_definition_is_reached_only_from_tests():
             ):
                 unused.append(qualname)
     assert unused == []
+
+
+def test_package_init_imports_nothing_and_assigns_only_the_version():
+    # every name is imported from its defining module, never re-exported
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assigned = [
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+    assert assigned == ["__version__"]
