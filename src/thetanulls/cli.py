@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json-out", metavar="FILE", help="also write the JSON report to FILE")
 
     p_count = sub.add_parser("count", help="closed-form counts")
-    p_count.add_argument("--case", choices=["ramified", "etale"], required=True)
+    p_count.add_argument("--case", choices=list(COUNT_CASES), required=True)
     p_count.add_argument("--b", type=int, default=None, help="base genus")
     p_count.add_argument("--r", type=int, default=None, help="half the number of branch points")
     p_count.add_argument("--rho", default=None, help="etale cover class as a 0/1 string of length 2b")

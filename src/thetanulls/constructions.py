@@ -28,7 +28,6 @@ from .ramified import (
     RamifiedThetaChar,
     canonicalize,
     closed_form_counts,
-    count_vanishing_lb,
     enumerate_theta_chars,
     h0_theta,
     is_vanishing,
@@ -172,7 +171,7 @@ def count_vanishing_genus6(N: int = 240, seed: int = 0) -> dict:
     return {
         "config": config.to_json(),
         "count": len(vanishing),
-        "guaranteed_lower_bound": count_vanishing_lb(spec.b, spec.r),
+        "guaranteed_lower_bound": closed_form_counts(spec.b, spec.r)["vanishing_lb"],
         "generic": [_char_json(spec, tc) for tc in generic],
         "extras": [_char_json(spec, tc) for tc in extras],
         "forced_extras": forced_report,
@@ -242,7 +241,7 @@ def count_vanishing_generic_bielliptic(g: int, N: int = 240, seed: int = 0) -> d
         "branch_points": [list(p) for p in spec.branch_points],
         "cover_class": spec.cover_class.to_json(),
         "count": len(vanishing),
-        "lower_bound": count_vanishing_lb(1, r),
+        "lower_bound": closed_form_counts(1, r)["vanishing_lb"],
         "extras": [_char_json(spec, tc) for tc in extras],
     }
 

@@ -137,26 +137,18 @@ def count_vanishing_enumerated(spec: EtaleCoverSpec) -> int:
     return sum(1 for _ in _form_words(spec, value=0, arf=1))
 
 
-def count_vanishing(b: int) -> int:
-    """Closed form 2^(b-2) (2^(b-1) - 1) = 2^(g-2) - 2^((g-3)/2)."""
-    if b < 1:
-        raise ValueError("base genus must be at least 1")
-    if b < 2:
-        return 0
-    return (1 << (b - 2)) * ((1 << (b - 1)) - 1)
-
-
 def closed_form_counts(b: int) -> dict:
     """The closed-form counts of a cover, g = 2b - 1, in report order:
     2^(g+1) characteristics, 3 * 2^(g-1) even, 2^(g-1) odd, and the
-    vanishing set."""
-    vanishing = count_vanishing(b)  # rejects b < 1
+    vanishing set's 2^(g-2) - 2^((g-3)/2), which is 0 at b = 1."""
+    if b < 1:
+        raise ValueError("base genus must be at least 1")
     g = 2 * b - 1
     return {
         "total": 1 << (g + 1),
         "even": 3 * (1 << (g - 1)),
         "odd": 1 << (g - 1),
-        "T_size": vanishing,
+        "T_size": ((1 << (2 * b - 2)) - (1 << (b - 1))) // 2,
     }
 
 

@@ -18,6 +18,7 @@ addition, halving and section counts.  Three kinds of base:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 RATIONAL = "rational"
@@ -27,14 +28,6 @@ GENERIC = "generic"
 
 class ModelError(Exception):
     """A divisor-class operation hit a model-setup violation."""
-
-
-class NoSquareRootError(ModelError):
-    """The class has odd degree and therefore no square root."""
-
-
-class NonHalvableError(ModelError):
-    """The class cannot be halved in-model (a setup invariant was broken)."""
 
 
 @dataclass(frozen=True)
@@ -106,19 +99,19 @@ class BaseCurveModel:
     def sqrt_classes(self, cls: LineBundleClass) -> tuple[LineBundleClass, ...]:
         """All square roots of a class; there are 2^(2b) of them.
 
-        Each torsion coordinate t halves to t/2 and t/2 + m/2; roots list
-        the first coordinate varying fastest.  Raises NoSquareRootError on
-        odd degree and NonHalvableError on an odd torsion coordinate.
+        Each torsion coordinate t, reduced mod m, halves to t/2 and
+        t/2 + m/2; roots list the first coordinate varying fastest.  Raises
+        ModelError on odd degree or an odd torsion coordinate.
         """
         self._check(cls)
         if cls.degree % 2:
-            raise NoSquareRootError(f"degree {cls.degree} is odd")
+            raise ModelError(f"degree {cls.degree} is odd")
         if any(t % 2 for t in cls.torsion):
-            raise NonHalvableError(
+            raise ModelError(
                 f"torsion {cls.torsion} has an odd coordinate; "
                 "construction points must stay in the even sublattice"
             )
-        halves = [(t // 2, t // 2 + m // 2) for t, m in zip(cls.torsion, self.moduli)]
+        halves = [(t % m // 2, (t % m + m) // 2) for t, m in zip(cls.torsion, self.moduli)]
         degree = cls.degree // 2
         return tuple(
             LineBundleClass(self.kind, degree, root[::-1])
@@ -132,7 +125,7 @@ class BaseCurveModel:
         outside 0 <= deg <= 2b-2)."""
         self._check(cls)
         if self.kind == ELLIPTIC and cls.degree == 0:
-            return 0 if any(cls.torsion) else 1
+            return 0 if any(map(operator.mod, cls.torsion, self.moduli)) else 1
         return max(0, cls.degree - self.b + 1)
 
 

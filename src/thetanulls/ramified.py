@@ -58,6 +58,8 @@ class RamifiedCoverSpec:
         square = self.model.tensor(self.cover_class, self.cover_class)
         if any(t % 2 for t in self.cover_class.torsion):
             raise ModelError("the cover class must have even coordinates")
+        if any(not 0 <= t < m for t, m in zip(self.cover_class.torsion, self.model.moduli)):
+            raise ModelError("the cover class must have reduced coordinates")
         if square != self.divisor_class(self.full_mask):
             raise ModelError("the cover class squared must be the branch divisor class")
 
@@ -233,11 +235,6 @@ def vanishing_theta_chars(spec: RamifiedCoverSpec) -> list[RamifiedThetaChar]:
 # --- closed-form counts, exact integer arithmetic throughout ---
 
 
-def _check_args(b: int, r: int) -> None:
-    if b < 0 or r < 1:
-        raise ValueError(f"need base genus >= 0 and r >= 1, got b={b}, r={r}")
-
-
 # the most characteristics an enumerating path builds; larger inputs are refused
 MAX_ENUMERATED_CHARS = 1 << 18
 
@@ -250,47 +247,21 @@ def refuse_over_budget(k: int, what: str) -> None:
         raise ValueError(f"{what} would enumerate more than {MAX_ENUMERATED_CHARS} characteristics")
 
 
-def count_total(b: int, r: int) -> int:
-    """2^(2(g - b)) invariant theta characteristics, g = 2b + r - 1."""
-    _check_args(b, r)
-    return 1 << (2 * (b + r - 1))
-
-
-def count_even(b: int, r: int) -> int:
-    """2^(g-1) (2^(g-2b) + 1), written so the edge g = 0 stays integral."""
-    _check_args(b, r)
-    num = (1 << (2 * b + 2 * r - 2)) + (1 << (2 * b + r - 1))
-    assert num % 2 == 0, "closed form lost exactness"
-    return num // 2
-
-
-def count_odd(b: int, r: int) -> int:
-    """2^(g-1) (2^(g-2b) - 1)."""
-    _check_args(b, r)
-    num = (1 << (2 * b + 2 * r - 2)) - (1 << (2 * b + r - 1))
-    assert num % 2 == 0, "closed form lost exactness"
-    return num // 2
-
-
-def count_vanishing_lb(b: int, r: int) -> int:
-    """Guaranteed vanishing thetanulls:
-    2^(g-1) (2^(g-2b) + 1 - 2^(-r+1) C(2r, r)), cleared of denominators."""
-    _check_args(b, r)
-    twice = (1 << (2 * b)) * comb(2 * r, r)
-    assert twice % 2 == 0, "central binomial coefficient must be even"
-    value = count_even(b, r) - twice // 2
-    assert value >= 0, "the subtracted term can never exceed the even count"
-    return value
-
-
 def closed_form_counts(b: int, r: int) -> dict:
-    """The four closed-form counts of a cover, in report order."""
-    return {
-        "total": count_total(b, r),
-        "even": count_even(b, r),
-        "odd": count_odd(b, r),
-        "vanishing_lb": count_vanishing_lb(b, r),
-    }
+    """The four closed-form counts of a cover, g = 2b + r - 1, in report order:
+    2^(2(g - b)) characteristics, 2^(g-1) (2^(g-2b) +- 1) even and odd, and the
+    guaranteed vanishing thetanulls 2^(g-1) (2^(g-2b) + 1 - 2^(1-r) C(2r, r)),
+    each halved from an integer so that the edge g = 0 stays exact."""
+    if b < 0 or r < 1:
+        raise ValueError(f"need base genus >= 0 and r >= 1, got b={b}, r={r}")
+    total = 1 << (2 * (b + r - 1))
+    twice_even = total + (1 << (2 * b + r - 1))
+    twice_lost = comb(2 * r, r) << (2 * b)
+    assert twice_even % 2 == 0, "closed form lost exactness"
+    assert twice_lost % 2 == 0, "central binomial coefficient must be even"
+    vanishing_lb = (twice_even - twice_lost) // 2
+    assert vanishing_lb >= 0, "the subtracted term can never exceed the even count"
+    return {"total": total, "even": twice_even // 2, "odd": total - twice_even // 2, "vanishing_lb": vanishing_lb}
 
 
 def _gaussian_power(re: int, im: int, exponent: int) -> tuple[int, int]:
@@ -339,7 +310,6 @@ def asymptotic_ratio(b: int, r: int) -> Fraction:
     It is 0 for r <= 3 (the guaranteed count vanishes), increases strictly
     from r = 3 on and tends to 1 as r grows.
     """
-    _check_args(b, r)
     exponent = 2 * b + 2 * r - 3
-    return Fraction(count_vanishing_lb(b, r)) / Fraction(2) ** exponent
+    return Fraction(closed_form_counts(b, r)["vanishing_lb"]) / Fraction(2) ** exponent
 

@@ -49,7 +49,7 @@ def counts_suite(max_b: int = 3, max_r: int = 6, seed: int = 0) -> list[dict]:
     The largest cell, at (max_b, max_r), is held to the enumeration budget
     before any cell starts."""
     ramified.refuse_over_budget(max_b + max_r - 1, f"--max-b {max_b} --max-r {max_r}")
-    ramified.count_total(max_b, max_r)  # refuses max_b < 0 and max_r < 1
+    ramified.closed_form_counts(max_b, max_r)  # refuses max_b < 0 and max_r < 1
     return [c for b in range(max_b + 1) for r in range(1, max_r + 1) for c in _counts_cell(b, r, seed)]
 
 
@@ -85,7 +85,7 @@ def etale_suite(max_b: int = 6) -> list[dict]:
     enumeration at ``max_b`` builds 2^(2 max_b) characteristics, so
     ``max_b`` is refused past the enumeration budget before any cell runs."""
     ramified.refuse_over_budget(max_b, f"--max-b {max_b}")
-    etale.count_vanishing(max_b)  # refuses max_b < 1
+    etale.closed_form_counts(max_b)  # refuses max_b < 1
     return [c for b in range(1, max(max_b, T_SIZE_MAX_B) + 1) for c in _etale_cell(b, max_b)]
 
 

@@ -43,9 +43,10 @@ def test_criterion_01_ramified_counts_match_enumeration():
             spec = _ramified_spec(b, r)
             chars = ramified.enumerate_theta_chars(spec)
             parities = [ramified.parity(spec, tc) for tc in chars]
-            ok &= len(chars) == len(set(chars)) == ramified.count_total(b, r)
-            ok &= parities.count(0) == ramified.count_even(b, r)
-            ok &= parities.count(1) == ramified.count_odd(b, r)
+            expected = ramified.closed_form_counts(b, r)
+            ok &= len(chars) == len(set(chars)) == expected["total"]
+            ok &= parities.count(0) == expected["even"]
+            ok &= parities.count(1) == expected["odd"]
     elapsed = time.monotonic() - started
     ok &= elapsed < 10.0
     _report("1 ramified closed forms vs enumeration", ok, f"{elapsed:.2f}s")
@@ -63,8 +64,8 @@ def test_criterion_02_vanishing_lower_bound():
                 for tc in chars
                 if ramified.parity(spec, tc) == 0 and tc.subset_size < r
             )
-            ok &= enumerated == ramified.count_vanishing_lb(b, r)
-    ok &= ramified.count_vanishing_lb(1, 5) == 40
+            ok &= enumerated == ramified.closed_form_counts(b, r)["vanishing_lb"]
+    ok &= ramified.closed_form_counts(1, 5)["vanishing_lb"] == 40
     _report("2 vanishing lower bound", ok)
     assert ok
 
@@ -117,7 +118,7 @@ def test_criterion_06_etale_counts():
     for b in range(1, 9):
         spec = etale.EtaleCoverSpec.default(b)
         size = len(etale.vanishing_thetanulls(spec))
-        ok &= size == etale.count_vanishing(b)
+        ok &= size == etale.closed_form_counts(b)["T_size"]
         if b >= 2:
             ok &= size == (1 << (spec.g - 2)) - (1 << ((spec.g - 3) // 2))
     elapsed = time.monotonic() - started

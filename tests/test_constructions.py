@@ -13,7 +13,7 @@ from thetanulls.picard import LineBundleClass, ModelError
 from thetanulls.ramified import (
     RamifiedThetaChar,
     canonicalize,
-    count_vanishing_lb,
+    closed_form_counts,
     enumerate_theta_chars,
     h0_theta,
     is_vanishing,
@@ -124,7 +124,7 @@ def test_generic_bielliptic_matches_closed_form_for_most_seeds():
         1
         for seed in range(10)
         if count_vanishing_generic_bielliptic(6, seed=seed)["count"]
-        == count_vanishing_lb(1, 5)
+        == closed_form_counts(1, 5)["vanishing_lb"]
     )
     assert matches >= 8
 

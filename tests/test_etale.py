@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,6 @@ from thetanulls.etale import (
     EtaleCoverSpec,
     canonical_form,
     closed_form_counts,
-    count_vanishing,
     count_vanishing_enumerated,
     enumerate_etale,
     even_subspace,
@@ -84,12 +84,19 @@ def test_parity_counts_up_to_b6():
         assert parities.count(1) == 1 << (spec.g - 1)
 
 
-def test_closed_form_counts_match_count_functions():
+def test_closed_form_counts_match_paper_expressions():
+    # the paper's expressions in exact rationals, g = 2b - 1; T_size reads 1/2 - 1/2 at b = 1
+    two = Fraction(2)
     for b in range(1, 9):
+        g = 2 * b - 1
         counts = closed_form_counts(b)
-        assert list(counts) == ["total", "even", "odd", "T_size"]
-        assert counts["T_size"] == count_vanishing(b)
-        assert counts["even"] + counts["odd"] == counts["total"] == 1 << (2 * b)
+        assert all(type(v) is int for v in counts.values())
+        assert list(counts.items()) == [
+            ("total", two ** (g + 1)),
+            ("even", 3 * two ** (g - 1)),
+            ("odd", two ** (g - 1)),
+            ("T_size", two ** (g - 2) - two ** Fraction(g - 3, 2)),
+        ], b
     for b in range(1, 5):
         spec = EtaleCoverSpec.default(b)
         parities = [parity_etale(spec, t) for t in enumerate_etale(spec)]
@@ -99,19 +106,20 @@ def test_closed_form_counts_match_count_functions():
             "odd": parities.count(1),
             "T_size": len(vanishing_thetanulls(spec)),
         }
-    with pytest.raises(ValueError):
-        closed_form_counts(0)
+    for b in (0, -1):
+        with pytest.raises(ValueError, match="base genus must be at least 1"):
+            closed_form_counts(b)
 
 
 def test_vanishing_set_sizes():
-    assert count_vanishing(1) == 0 and not vanishing_thetanulls(EtaleCoverSpec.default(1))
+    assert closed_form_counts(1)["T_size"] == 0 and not vanishing_thetanulls(EtaleCoverSpec.default(1))
     assert len(vanishing_thetanulls(EtaleCoverSpec.default(2))) == 1
     assert len(vanishing_thetanulls(EtaleCoverSpec.default(3))) == 6
     for b in range(1, 6):
         spec = EtaleCoverSpec.default(b)
         T = vanishing_thetanulls(spec)
         g = spec.g
-        assert len(T) == count_vanishing(b)
+        assert len(T) == closed_form_counts(b)["T_size"]
         if b >= 2:
             assert len(T) == (1 << (g - 2)) - (1 << ((g - 3) // 2))
         for tc in T:

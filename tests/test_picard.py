@@ -8,8 +8,6 @@ from thetanulls.picard import (
     GenericModel,
     LineBundleClass,
     ModelError,
-    NonHalvableError,
-    NoSquareRootError,
     RationalModel,
 )
 
@@ -75,6 +73,17 @@ def test_h0_elliptic():
     assert m.h0(LineBundleClass("elliptic", 5, (6, 0))) == 5
 
 
+def test_unreduced_elliptic_torsion_reads_as_its_residue():
+    # hand-built classes may carry torsion outside 0..N-1; they mean its residue
+    m = EllipticModel(240)
+    for t in ((240, 0), (-240, 480)):
+        assert m.h0(LineBundleClass("elliptic", 0, t)) == 1
+        assert m.sqrt_classes(LineBundleClass("elliptic", 0, t)) == m.sqrt_classes(m.trivial())
+    assert m.h0(LineBundleClass("elliptic", 0, (246, 0))) == 0
+    roots = m.sqrt_classes(LineBundleClass("elliptic", 2, (244, -2)))
+    assert [r.torsion for r in roots] == [(2, 119), (122, 119), (2, 239), (122, 239)]
+
+
 def test_h0_elliptic_riemann_roch():
     # h0(L) - h0(K - L) = deg L with K trivial
     m = EllipticModel(240)
@@ -99,7 +108,7 @@ def test_h0_generic_and_flag():
 def test_sqrt_rational():
     m = RationalModel()
     assert m.sqrt_classes(LineBundleClass("rational", 4)) == (LineBundleClass("rational", 2),)
-    with pytest.raises(NoSquareRootError):
+    with pytest.raises(ModelError, match="degree 3 is odd"):
         m.sqrt_classes(LineBundleClass("rational", 3))
 
 
@@ -107,7 +116,7 @@ def test_sqrt_elliptic_two_torsion_order():
     m = EllipticModel(240)
     roots = m.sqrt_classes(m.trivial())
     assert [r.torsion for r in roots] == [(0, 0), (120, 0), (0, 120), (120, 120)]
-    with pytest.raises(NonHalvableError):
+    with pytest.raises(ModelError, match="has an odd coordinate"):
         m.sqrt_classes(LineBundleClass("elliptic", 2, (3, 0)))
 
 
@@ -116,7 +125,7 @@ def test_sqrt_generic():
     roots = m.sqrt_classes(LineBundleClass("generic", 6, torsion=(0,) * 4))
     assert len(roots) == 16 and all(r.degree == 3 for r in roots)
     assert len({r.torsion for r in roots}) == 16
-    with pytest.raises(NonHalvableError):
+    with pytest.raises(ModelError, match="has an odd coordinate"):
         m.sqrt_classes(LineBundleClass("generic", 2, torsion=(1, 0, 0, 0)))
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,10 +14,6 @@ from thetanulls.ramified import (
     binomial_identity_check,
     canonicalize,
     closed_form_counts,
-    count_even,
-    count_odd,
-    count_total,
-    count_vanishing_lb,
     enumerate_theta_chars,
     h0_theta,
     h0_theta_decomposed,
@@ -38,6 +35,16 @@ def test_spec_validation():
         RamifiedCoverSpec(m, 1, pts, LineBundleClass("elliptic", 1, (0, 0)))
     with pytest.raises(ModelError):  # odd-coordinate branch point
         RamifiedCoverSpec(m, 1, ((1, 0), (3, 0)), LineBundleClass("elliptic", 1, (2, 0)))
+
+
+def test_unreduced_cover_class_refused():
+    m = EllipticModel(240)
+    pts = ((0, 0), (4, 0))
+    spec = RamifiedCoverSpec(m, 1, pts, LineBundleClass("elliptic", 1, (2, 0)))
+    assert spec.cover_class.to_json()["point"] == [2, 0]
+    for torsion in ((242, 0), (-238, 0), (2, 240)):
+        with pytest.raises(ModelError, match="reduced coordinates"):
+            RamifiedCoverSpec(m, 1, pts, LineBundleClass("elliptic", 1, torsion))
 
 
 def test_enumeration_sizes():
@@ -112,7 +119,7 @@ def test_genus3_unique_vanishing_thetanull():
     spec = RamifiedCoverSpec.rational(4)
     chars = enumerate_theta_chars(spec)
     vanishing = [tc for tc in chars if is_vanishing(spec, tc)]
-    assert len(vanishing) == 1 == count_vanishing_lb(0, 4)
+    assert len(vanishing) == 1 == closed_form_counts(0, 4)["vanishing_lb"]
     (tc,) = vanishing
     assert tc.subset_mask == 0 and tc.bundle.degree == 1 and h0_theta(spec, tc) == 2
 
@@ -172,32 +179,41 @@ def test_generic_model_flagged_not_exact():
 
 
 def test_count_formula_instances():
-    assert count_even(1, 5) == 544
-    assert count_odd(1, 5) == 480
-    assert (count_even(0, 4), count_odd(0, 4)) == (36, 28)
-    assert (count_even(2, 1), count_odd(2, 1)) == (16, 0)
-    assert count_total(1, 5) == 1024
+    assert closed_form_counts(1, 5)["even"] == 544
+    assert closed_form_counts(1, 5)["odd"] == 480
+    assert [closed_form_counts(0, 4)[k] for k in ("even", "odd")] == [36, 28]
+    assert [closed_form_counts(2, 1)[k] for k in ("even", "odd")] == [16, 0]
+    assert closed_form_counts(1, 5)["total"] == 1024
 
 
 def test_count_vanishing_instances():
-    assert count_vanishing_lb(1, 5) == 40
-    assert count_vanishing_lb(0, 4) == 1
-    assert count_vanishing_lb(0, 3) == 0
-    assert count_vanishing_lb(0, 5) == 10
-    assert count_vanishing_lb(1, 2) == 0
+    assert closed_form_counts(1, 5)["vanishing_lb"] == 40
+    assert closed_form_counts(0, 4)["vanishing_lb"] == 1
+    assert closed_form_counts(0, 3)["vanishing_lb"] == 0
+    assert closed_form_counts(0, 5)["vanishing_lb"] == 10
+    assert closed_form_counts(1, 2)["vanishing_lb"] == 0
 
 
-def test_closed_form_counts_match_count_functions():
+def test_closed_form_counts_match_paper_expressions():
+    # the paper's expressions in exact rationals, g = 2b + r - 1
+    two = Fraction(2)
     for b in range(4):
         for r in range(1, 8):
-            assert list(closed_form_counts(b, r).items()) == [
-                ("total", count_total(b, r)),
-                ("even", count_even(b, r)),
-                ("odd", count_odd(b, r)),
-                ("vanishing_lb", count_vanishing_lb(b, r)),
-            ]
-    with pytest.raises(ValueError):
-        closed_form_counts(0, 0)
+            g = 2 * b + r - 1
+            even = two ** (g - 1) * (two ** (g - 2 * b) + 1)
+            odd = two ** (g - 1) * (two ** (g - 2 * b) - 1)
+            lost = two ** (g - 1) * two ** (1 - r) * comb(2 * r, r)
+            counts = closed_form_counts(b, r)
+            assert all(type(v) is int for v in counts.values())
+            assert list(counts.items()) == [
+                ("total", 2 ** (2 * (g - b))),
+                ("even", even),
+                ("odd", odd),
+                ("vanishing_lb", even - lost),
+            ], (b, r)
+    for b, r in ((0, 0), (-1, 1)):
+        with pytest.raises(ValueError, match=f"got b={b}, r={r}"):
+            closed_form_counts(b, r)
 
 
 def test_counts_match_enumeration_small():
@@ -211,11 +227,12 @@ def test_counts_match_enumeration_small():
                 spec = RamifiedCoverSpec.generic(b, r)
             chars = enumerate_theta_chars(spec)
             parities = [parity(spec, tc) for tc in chars]
-            assert len(chars) == count_total(b, r)
-            assert parities.count(0) == count_even(b, r)
-            assert parities.count(1) == count_odd(b, r)
+            expected = closed_form_counts(b, r)
+            assert len(chars) == expected["total"]
+            assert parities.count(0) == expected["even"]
+            assert parities.count(1) == expected["odd"]
             lb = sum(1 for tc, p in zip(chars, parities) if p == 0 and tc.subset_size < r)
-            assert lb == count_vanishing_lb(b, r)
+            assert lb == expected["vanishing_lb"]
 
 
 def test_binomial_identity_values():

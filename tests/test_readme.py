@@ -1,18 +1,21 @@
 """The README's CLI examples print the bytes they printed when these
-digests were recorded, and its library example runs.
+digests were recorded, its library example runs, and its Layout table
+names every module.
 
 One example runs differently from the README: the syzygetic suite runs
 with --max-b 4 to keep the run short.
 """
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
 
 from thetanulls.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # argv after ``thetanulls`` -> sha256 of stdout
 STDOUT_SHA256 = {
@@ -81,3 +84,10 @@ def test_readme_library_example_runs():
     blocks = README.read_text().split("```python\n")[1:]
     assert len(blocks) == 1
     exec(blocks[0].split("```")[0], {})
+
+
+def test_readme_layout_lists_every_module():
+    layout = README.read_text().split("## Layout\n")[1].split("\n## ")[0]
+    listed = set(re.findall(r"^\| `thetanulls\.(\w+)` \|", layout, re.MULTILINE))
+    modules = {p.stem for p in (ROOT / "src" / "thetanulls").glob("*.py")} - {"__init__", "__main__"}
+    assert listed == modules
