@@ -3,12 +3,14 @@
 Output is a JSON report on stdout (or a human-readable rendering with
 --pretty); identical invocations produce byte-identical output, so
 timing goes to stderr.  Exit codes: 0 success, 1 check failure, 2 usage
-error, 3 model error.
+error, 3 model error.  In-process ``main`` calls share one parser, built
+on the first call; a shell invocation builds it once, as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import os
 import sys
@@ -106,7 +108,11 @@ def _run(args) -> int:
     return 0 if report.get("checks_passed", True) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.  Each
+    subcommand's ``choices`` are read then, so a key added to a ``COMMANDS``
+    table later is refused; a replaced value still takes effect."""
     parser = argparse.ArgumentParser(
         prog="thetanulls",
         description="Exact counting and verification of involution-invariant "

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -223,6 +224,11 @@ def test_every_parameter_is_a_flag_of_its_subcommand():
 
 
 def test_failing_check_exits_1(monkeypatch, tmp_path, capsys):
+    # the parser exists before the patch: it is built once per process, and
+    # the suite table it was built from is held, so the replacement still runs
+    assert main(["count", "--case", "etale", "--b", "2"]) == 0
+    capsys.readouterr()
+
     def fake_counts(max_b=3, max_r=6, seed=0):
         return [check("fake", 0, 1)]
 
@@ -345,6 +351,55 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["T_size"] == "1"
     assert "elapsed_ms=" in proc.stderr
+
+
+def test_parser_is_built_once_per_process_not_at_import():
+    # counts the top-level parsers a fresh process constructs: none at
+    # import (set-up pays nothing), one across two main calls
+    code = textwrap.dedent("""
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "thetanulls":
+                built.append(self)
+        argparse.ArgumentParser.__init__ = counting
+        import thetanulls.cli
+        counts = [len(built)]
+        for _ in range(2):
+            assert thetanulls.cli.main(["count", "--case", "etale", "--b", "2"]) == 0
+            counts.append(len(built))
+        print(*counts)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 1 1"
+
+
+def test_no_state_crosses_calls_through_the_shared_parser(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main("count --case etale --b 5 --r 2".split())
+    assert err.value.code == 2
+    assert main("construct bielliptic-g6 --N 238".split()) == 3
+    assert main("count --case ramified --b 1 --r 5 --pretty".split()) == 0
+    capsys.readouterr()
+    target = tmp_path / "report.json"
+    assert main(["count", "--case", "etale", "--b", "4", "--json-out", str(target)]) == 0
+    written = capsys.readouterr().out
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    argv = ["count", "--case", "etale", "--b", "3", "--rho", "010000"]  # the README's example
+    assert main(argv) == 0
+    fresh = subprocess.run([sys.executable, "-m", "thetanulls", *argv], capture_output=True, env=_child_env())
+    assert fresh.returncode == 0
+    assert capsys.readouterr().out.encode() == fresh.stdout
+    assert target.read_text() == written
 
 
 def test_cli_import_loads_no_process_pool():
