@@ -223,8 +223,10 @@ def sample_bielliptic_spec(r: int, N: int = 240, seed: int = 0) -> RamifiedCover
 def count_vanishing_generic_bielliptic(g: int, N: int = 240, seed: int = 0) -> dict:
     """Exact vanishing count for a random bielliptic cover of genus g.
 
-    Always at least the guaranteed lower bound; equality for generic
-    branch data, with any accidental extras reported rather than hidden.
+    Always at least the guaranteed lower bound; equality holds for
+    generic branch data on a real elliptic base.  The finite (Z/N)^2
+    model has accidental extras (about C(2r, r) / (2 (N/2)^2) expected,
+    so some from g ~ 10 at N = 240), listed under ``extras``.
     """
     if g < 3:
         raise ValueError("a bielliptic cover of an elliptic base needs genus >= 3")

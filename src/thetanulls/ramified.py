@@ -12,9 +12,11 @@ and (L, E) is unique up to the swap (K_B (x) L^{-1}, complement of E).
 Parity is ((r - #E) / 2) mod 2 and section counts reduce to the base:
 h^0(kappa) = h^0(L) + h^0(K_B (x) L^{-1}).
 
-The enumeration below walks canonical pairs (subsets by size then
-lexicographic index order, square roots in model order), so reports and
-diffs are reproducible.
+The enumeration below walks canonical pairs only: every subset with
+#E < r, and one of each complementary pair at #E = r (a size-r subset
+is canonical when it leaves out the last branch point).  Subsets run by
+size then lexicographic index order and square roots in model order, so
+reports and diffs are reproducible.
 """
 
 from __future__ import annotations
@@ -135,20 +137,6 @@ class RamifiedThetaChar:
         return self.subset_mask.bit_count()
 
 
-def _canonical_mask(spec: RamifiedCoverSpec, mask: int) -> bool:
-    """Canonical subsets have #E < r, or #E = r and are the smaller of the
-    two complementary masks (compared as words)."""
-    size = mask.bit_count()
-    if size != spec.r:
-        return size < spec.r
-    return mask <= spec.full_mask ^ mask
-
-
-def is_canonical(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> bool:
-    """Whether tc is the canonical one of its two representations."""
-    return _canonical_mask(spec, tc.subset_mask)
-
-
 def swap_representation(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> RamifiedThetaChar:
     """The other (bundle, subset) pair presenting the same characteristic."""
     m = spec.model
@@ -157,30 +145,26 @@ def swap_representation(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> Ramif
 
 
 def canonicalize(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> RamifiedThetaChar:
-    if is_canonical(spec, tc):
+    """The canonical one of tc's two representations."""
+    size = tc.subset_size
+    if size < spec.r or (size == spec.r and tc.subset_mask < 1 << (2 * spec.r - 1)):
         return tc
-    swapped = swap_representation(spec, tc)
-    if not is_canonical(spec, swapped):
-        raise AssertionError("one of the two representations must be canonical")
-    return swapped
+    return swap_representation(spec, tc)
 
 
 def enumerate_theta_chars(spec: RamifiedCoverSpec) -> list[RamifiedThetaChar]:
     """All 2^(2(g-b)) canonical invariant theta characteristics.
 
-    Subsets run by size then lexicographic index tuples; for size r only
-    the smaller of each complementary pair is kept; bundles follow the
-    model's square-root order.
+    Subsets run by size then lexicographic index tuples, canonical ones
+    only; bundles follow the model's square-root order.
     """
     out: list[RamifiedThetaChar] = []
-    n = 2 * spec.r
     for k in range(spec.r % 2, spec.r + 1, 2):
-        for combo in itertools.combinations(range(n), k):
+        points = 2 * spec.r - 1 if k == spec.r else 2 * spec.r
+        for combo in itertools.combinations(range(points), k):
             mask = 0
             for i in combo:
                 mask |= 1 << i
-            if not _canonical_mask(spec, mask):
-                continue
             for root in spec.model.sqrt_classes(spec.square_target(mask)):
                 out.append(RamifiedThetaChar(root, mask))
     return out

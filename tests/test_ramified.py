@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -17,7 +18,6 @@ from thetanulls.ramified import (
     enumerate_theta_chars,
     h0_theta,
     h0_theta_decomposed,
-    is_canonical,
     is_vanishing,
     parity,
     swap_representation,
@@ -54,15 +54,34 @@ def test_enumeration_sizes():
     assert len(enumerate_theta_chars(RamifiedCoverSpec.generic(2, 2))) == 64
 
 
+def _reference_enumeration(spec):
+    # the definition: every subset of the right sizes, keeping at size r the
+    # smaller word of each complementary pair
+    out = []
+    for k in range(spec.r % 2, spec.r + 1, 2):
+        for combo in itertools.combinations(range(2 * spec.r), k):
+            mask = sum(1 << i for i in combo)
+            if k == spec.r and mask > spec.full_mask ^ mask:
+                continue
+            for root in spec.model.sqrt_classes(spec.square_target(mask)):
+                out.append(RamifiedThetaChar(root, mask))
+    return out
+
+
 def test_enumeration_canonical_and_distinct():
-    spec = sample_bielliptic_spec(3, seed=2)
-    chars = enumerate_theta_chars(spec)
-    assert len(set(chars)) == len(chars)
-    m = spec.model
-    for tc in chars:
-        assert is_canonical(spec, tc)
-        assert tc.subset_size % 2 == spec.r % 2
-        assert m.tensor(tc.bundle, tc.bundle) == spec.square_target(tc.subset_mask)
+    specs = [RamifiedCoverSpec.rational(r) for r in range(1, 8)]
+    specs += [RamifiedCoverSpec.generic(2, r) for r in range(1, 4)]
+    specs += [sample_bielliptic_spec(r, N=N, seed=r) for r in range(2, 6) for N in (24, 240)]
+    for spec in specs:
+        chars = enumerate_theta_chars(spec)
+        assert chars == _reference_enumeration(spec), (spec.model, spec.r)
+        assert len(set(chars)) == len(chars)
+        m = spec.model
+        for tc in chars:
+            size = tc.subset_size
+            assert size < spec.r or (size == spec.r and tc.subset_mask <= spec.full_mask ^ tc.subset_mask)
+            assert size % 2 == spec.r % 2
+            assert m.tensor(tc.bundle, tc.bundle) == spec.square_target(tc.subset_mask)
 
 
 def _target_specs():

@@ -5,9 +5,13 @@ A definition counts as used when its name is read somewhere in the
 package outside its own body, as a bare name or as an attribute.  Dunder
 methods are left out because Python calls them implicitly.  The oracles
 that exist only to cross-check a primary path are named below.
+
+The package also stays stdlib-only: it imports nothing from outside the
+standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thetanulls"
@@ -72,3 +76,22 @@ def test_package_init_imports_nothing_and_assigns_only_the_version():
         if isinstance(target, ast.Name)
     ]
     assert assigned == ["__version__"]
+
+
+def test_package_imports_only_the_standard_library():
+    # absolute imports must name stdlib modules; relative ones stay in the package
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                (path.name, name)
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
