@@ -12,6 +12,9 @@ Two flavours:
   the 40 guaranteed ones, giving at least 43; a random even branch
   divisor stays at the guaranteed 40 for most seeds.
 
+Both bielliptic samplers return a ``RamifiedCoverSpec``; the genus-6
+report's ``config`` block is read off its spec.
+
 Sampling uses a caller-seeded generator only, so every certificate is
 reproducible from (N, seed).
 """
@@ -19,10 +22,8 @@ reproducible from (N, seed).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
 
-from .picard import ELLIPTIC, BaseCurveModel, EllipticModel, LineBundleClass, ModelError
+from .picard import ELLIPTIC, EllipticModel, LineBundleClass, ModelError
 from .ramified import (
     RamifiedCoverSpec,
     RamifiedThetaChar,
@@ -40,6 +41,9 @@ Point = tuple[int, int]
 
 MAX_ATTEMPTS = 1000  # draws a sampler makes before it gives up
 LIST_CHARACTERS_MAX_G = 5  # hyperelliptic reports list characters up to here
+# pair_i + pair_j + base point for (i, j) in (0, 1), (0, 2), (1, 2): the
+# subsets of the genus-6 build's three forced extras
+FORCED_SUBSET_MASKS = tuple((0b11 << 2 * i) | (0b11 << 2 * j) | (1 << 9) for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 def _add(p: Point, q: Point, N: int) -> Point:
@@ -50,70 +54,14 @@ def _sub(p: Point, q: Point, N: int) -> Point:
     return ((p[0] - q[0]) % N, (p[1] - q[1]) % N)
 
 
-@dataclass(frozen=True)
-class BiellipticGenus6:
-    """Tuned genus-6 branch data over an elliptic base.
+def build_bielliptic_genus6(N: int = 240, seed: int = 0) -> RamifiedCoverSpec:
+    """Sample the tuned genus-6 branch data as its ``RamifiedCoverSpec``.
 
-    ``pair_divisors`` are the three 2-point members of the degree-2
-    pencil, ``triple_divisor`` the 3-point member of its twist by
-    ``base_point``; the 10 branch points are ordered pair_1, pair_2,
-    pair_3, triple, base point.
-    """
-
-    model: BaseCurveModel
-    seed: int
-    base_point: Point
-    pencil_point: Point  # Abel-Jacobi coordinate of the degree-2 pencil class
-    pair_divisors: tuple[tuple[Point, Point], ...]
-    triple_divisor: tuple[Point, Point, Point]
-
-    @property
-    def branch_points(self) -> tuple[Point, ...]:
-        points: list[Point] = []
-        for pair in self.pair_divisors:
-            points.extend(pair)
-        points.extend(self.triple_divisor)
-        points.append(self.base_point)
-        return tuple(points)
-
-    @property
-    def cover_class(self) -> LineBundleClass:
-        N = self.model.moduli[0]
-        doubled = _add(self.pencil_point, self.pencil_point, N)
-        return LineBundleClass(ELLIPTIC, 5, _add(doubled, self.base_point, N))
-
-    @cached_property
-    def spec(self) -> RamifiedCoverSpec:
-        return RamifiedCoverSpec(self.model, 5, self.branch_points, self.cover_class)
-
-    def forced_subset_masks(self) -> list[int]:
-        """Masks of pair_i + pair_j + base point, the three forced subsets."""
-        pair_bits = [0b11 << (2 * i) for i in range(3)]
-        point_bit = 1 << 9
-        return [
-            pair_bits[0] | pair_bits[1] | point_bit,
-            pair_bits[0] | pair_bits[2] | point_bit,
-            pair_bits[1] | pair_bits[2] | point_bit,
-        ]
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.model.moduli[0],
-            "seed": self.seed,
-            "base_point": list(self.base_point),
-            "pencil_point": list(self.pencil_point),
-            "pair_divisors": [[list(p) for p in pair] for pair in self.pair_divisors],
-            "triple_divisor": [list(p) for p in self.triple_divisor],
-            "cover_class": self.cover_class.to_json(),
-        }
-
-
-def build_bielliptic_genus6(N: int = 240, seed: int = 0) -> BiellipticGenus6:
-    """Sample the tuned genus-6 branch data.
-
-    Points are drawn from the even sublattice; the last point of each
-    divisor is solved for so the divisor lands in the required class.
-    Redraws everything on a collision.
+    Branch points are ordered pair_1, pair_2, pair_3, triple, base point:
+    three members of a degree-2 pencil, a member of its twist by the base
+    point, and the point; the cover class is 2 * pencil + base point.
+    Points are drawn from the even sublattice, the last point of each
+    divisor solved for; a collision redraws everything.
     """
     model = EllipticModel(N)
     rng = random.Random(seed)
@@ -130,9 +78,8 @@ def build_bielliptic_genus6(N: int = 240, seed: int = 0) -> BiellipticGenus6:
             pairs.append((y, _sub(pencil, y, N)))
         points = [p for pair in pairs for p in pair] + list(triple) + [base]
         if len(set(points)) == 10:
-            config = BiellipticGenus6(model, seed, base, pencil, tuple(pairs), triple)
-            config.spec  # runs the branch-data invariants once; the spec is cached
-            return config
+            cover = LineBundleClass(ELLIPTIC, 5, _add(_add(pencil, pencil, N), base, N))
+            return RamifiedCoverSpec(model, 5, tuple(points), cover)
     raise ModelError(
         f"could not sample 10 distinct construction points in {MAX_ATTEMPTS} attempts; "
         "try a larger torsion modulus"
@@ -147,8 +94,8 @@ def count_vanishing_genus6(N: int = 240, seed: int = 0) -> dict:
     presence check for the three forced extras: trivial bundle, subset =
     pair_i + pair_j + base point, 2 sections each.
     """
-    config = build_bielliptic_genus6(N, seed)
-    spec = config.spec
+    spec = build_bielliptic_genus6(N, seed)
+    points = spec.branch_points
     vanishing = vanishing_theta_chars(spec)
     generic = [tc for tc in vanishing if tc.subset_size < spec.r]
     extras = [tc for tc in vanishing if tc.subset_size == spec.r]
@@ -156,7 +103,7 @@ def count_vanishing_genus6(N: int = 240, seed: int = 0) -> dict:
     vanishing_set = set(vanishing)
     trivial = spec.model.trivial()
     forced_report = []
-    for mask in config.forced_subset_masks():
+    for mask in FORCED_SUBSET_MASKS:
         rep = canonicalize(spec, RamifiedThetaChar(trivial, mask))
         present = rep in vanishing_set
         forced_report.append(
@@ -169,7 +116,15 @@ def count_vanishing_genus6(N: int = 240, seed: int = 0) -> dict:
         )
 
     return {
-        "config": config.to_json(),
+        "config": {
+            "N": N,
+            "seed": seed,
+            "base_point": list(points[9]),
+            "pencil_point": list(_add(points[0], points[1], N)),
+            "pair_divisors": [[list(p) for p in points[i : i + 2]] for i in (0, 2, 4)],
+            "triple_divisor": [list(p) for p in points[6:9]],
+            "cover_class": spec.cover_class.to_json(),
+        },
         "count": len(vanishing),
         "guaranteed_lower_bound": closed_form_counts(spec.b, spec.r)["vanishing_lb"],
         "generic": [_char_json(spec, tc) for tc in generic],

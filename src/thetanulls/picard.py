@@ -33,7 +33,10 @@ class ModelError(Exception):
 @dataclass(frozen=True)
 class LineBundleClass:
     """A divisor class: degree plus a torsion tuple, one coordinate per
-    cyclic factor of the model (empty on the rational model)."""
+    cyclic factor of the model (empty on the rational model).  Equality
+    and hashing compare torsion as given: every class a model builds is
+    reduced, and a hand-built class ``c`` compares correctly after
+    ``model.tensor(c, model.trivial())``."""
 
     kind: str
     degree: int

@@ -75,11 +75,6 @@ class RamifiedCoverSpec:
         """The torsion of K_B (x) rho, computed once per spec."""
         return self.model.tensor(self.model.canonical_class(), self.cover_class).torsion
 
-    @cached_property
-    def _point_torsions(self) -> tuple[tuple[int, ...], ...]:
-        """Each branch point's torsion, computed once per spec."""
-        return tuple(cls.torsion for cls in self.point_classes)
-
     @property
     def b(self) -> int:
         return self.model.b
@@ -116,7 +111,7 @@ class RamifiedCoverSpec:
         The chosen points' torsion is subtracted coordinate by coordinate
         and reduced once, so each subset builds exactly one class.
         """
-        chosen = [p for i, p in enumerate(self._point_torsions) if (mask >> i) & 1]
+        chosen = [p.torsion for i, p in enumerate(self.point_classes) if (mask >> i) & 1]
         columns = zip(self._twisted_canonical_torsion, self.model.moduli, *chosen)
         return LineBundleClass(
             self.model.kind,

@@ -3,6 +3,7 @@ import functools
 import pytest
 
 from thetanulls.constructions import (
+    FORCED_SUBSET_MASKS,
     build_bielliptic_genus6,
     count_vanishing_generic_bielliptic,
     count_vanishing_genus6,
@@ -27,23 +28,32 @@ def divisor_class(model, points):
 
 
 def test_build_invariants():
+    # the certificate's config block is the geometry the spec was built from
     for seed in (0, 1, 7):
-        config = build_bielliptic_genus6(seed=seed)
-        points = config.branch_points
+        spec = build_bielliptic_genus6(seed=seed)
+        cert = count_vanishing_genus6(seed=seed)
+        config = cert["config"]
+        points = spec.branch_points
         assert len(points) == 10 == len(set(points))
         assert all(x % 2 == 0 and y % 2 == 0 for x, y in points)
-        m = config.model
+        pairs = [tuple(tuple(p) for p in pair) for pair in config["pair_divisors"]]
+        triple = tuple(tuple(p) for p in config["triple_divisor"])
+        base = tuple(config["base_point"])
+        assert points == (*(p for pair in pairs for p in pair), *triple, base)
+        m = spec.model
         # each 2-point divisor lies in the degree-2 pencil, the 3-point one
         # in its twist by the base point
-        pencil = LineBundleClass("elliptic", 2, config.pencil_point)
-        for pair in config.pair_divisors:
+        pencil = LineBundleClass("elliptic", 2, tuple(config["pencil_point"]))
+        for pair in pairs:
             assert divisor_class(m, pair) == pencil
-        twist = m.tensor(pencil, m.point_class(config.base_point))
-        assert divisor_class(m, config.triple_divisor) == twist
-        assert config.cover_class.degree == 5
-        assert m.tensor(config.cover_class, config.cover_class) == divisor_class(m, points)
-        spec = config.spec
+        twist = m.tensor(pencil, m.point_class(base))
+        assert divisor_class(m, triple) == twist
+        assert config["cover_class"] == spec.cover_class.to_json()
+        assert spec.cover_class.degree == 5
+        assert m.tensor(spec.cover_class, spec.cover_class) == divisor_class(m, points)
         assert 2 * spec.b + spec.r - 1 == 6 and spec.b == 1 and spec.r == 5
+        for entry, (i, j) in zip(cert["forced_extras"], ((0, 1), (0, 2), (1, 2)), strict=True):
+            assert entry["subset_indices"] == [2 * i, 2 * i + 1, 2 * j, 2 * j + 1, 9]
 
 
 def test_build_is_deterministic():
@@ -74,10 +84,9 @@ def test_genus6_forced_extras_every_seed():
 def test_forced_subset_and_complement_are_one_characteristic():
     # the 5 points of pencil_1 + pencil_2 + base and the complementary
     # pencil_3 + twist-divisor present the same theta characteristic
-    config = build_bielliptic_genus6(seed=0)
-    spec = config.spec
+    spec = build_bielliptic_genus6(seed=0)
     trivial = spec.model.trivial()
-    mask_a = config.forced_subset_masks()[0]  # pairs 1,2 + base point
+    mask_a = FORCED_SUBSET_MASKS[0]  # pairs 1,2 + base point
     mask_b = spec.full_mask ^ mask_a  # pair 3 + triple divisor
     rep_a = canonicalize(spec, RamifiedThetaChar(trivial, mask_a))
     rep_b = canonicalize(spec, RamifiedThetaChar(trivial, mask_b))
@@ -86,8 +95,7 @@ def test_forced_subset_and_complement_are_one_characteristic():
 
 
 def test_genus6_vanishing_breakdown():
-    config = build_bielliptic_genus6(seed=3)
-    spec = config.spec
+    spec = build_bielliptic_genus6(seed=3)
     chars = enumerate_theta_chars(spec)
     vanishing = [tc for tc in chars if is_vanishing(spec, tc)]
     # the 40 guaranteed ones all have small subsets; extras are full-size

@@ -79,6 +79,10 @@ def test_unreduced_elliptic_torsion_reads_as_its_residue():
     for t in ((240, 0), (-240, 480)):
         assert m.h0(LineBundleClass("elliptic", 0, t)) == 1
         assert m.sqrt_classes(LineBundleClass("elliptic", 0, t)) == m.sqrt_classes(m.trivial())
+        # raw equality compares torsion as given; the model's operations reduce it
+        assert m.tensor(LineBundleClass("elliptic", 0, t), m.trivial()) == m.trivial()
+        assert m.inverse(LineBundleClass("elliptic", 0, t)) == m.trivial()
+        assert m.point_class(t).torsion == (0, 0)
     assert m.h0(LineBundleClass("elliptic", 0, (246, 0))) == 0
     roots = m.sqrt_classes(LineBundleClass("elliptic", 2, (244, -2)))
     assert [r.torsion for r in roots] == [(2, 119), (122, 119), (2, 239), (122, 239)]

@@ -1,10 +1,12 @@
-"""Every function, class and method in ``src/thetanulls`` is used by the
-package itself: no code there is reached only from the tests.
+"""Every function, class, method and module-level constant in
+``src/thetanulls`` is used by the package itself: no code there is
+reached only from the tests.
 
 A definition counts as used when its name is read somewhere in the
 package outside its own body, as a bare name or as an attribute.  Dunder
-methods are left out because Python calls them implicitly.  The oracles
-that exist only to cross-check a primary path are named below.
+methods and ``__version__`` are left out because Python and packaging
+read them implicitly.  The oracles that exist only to cross-check a
+primary path are named below.
 
 The package also stays stdlib-only: it imports nothing from outside the
 standard library.
@@ -23,9 +25,15 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _definitions(tree: ast.Module, module: str):
-    """(qualified name, bare name, node) for top-level functions and
-    classes and the methods of those classes."""
+    """(qualified name, bare name, node) for top-level functions, classes
+    and assigned names, and the methods of those classes.  An assigned
+    name is a ``Name`` target, or a ``Name`` inside a ``Tuple`` target."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(name, ast.Name):
+                        yield f"{module}.{name.id}", name.id, node
         if isinstance(node, DEFINITIONS):
             yield f"{module}.{node.name}", node.name, node
             if isinstance(node, ast.ClassDef):
@@ -35,11 +43,12 @@ def _definitions(tree: ast.Module, module: str):
 
 
 def _reads(node: ast.AST):
-    """(name, line) of every bare name or attribute read under ``node``."""
+    """(name, line) of every bare name or attribute read under ``node``;
+    an assignment target is not a read."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             yield sub.id, sub.lineno
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
             yield sub.attr, sub.lineno
 
 
