@@ -12,8 +12,9 @@ Two flavours:
   the 40 guaranteed ones, giving at least 43; a random even branch
   divisor stays at the guaranteed 40 for most seeds.
 
-Both bielliptic samplers return a ``RamifiedCoverSpec``; the genus-6
-report's ``config`` block is read off its spec.
+Both bielliptic samplers return a ``RamifiedCoverSpec`` whose branch
+points are degree-1 classes; the genus-6 report's ``config`` block is
+read off its spec.
 
 Sampling uses a caller-seeded generator only, so every certificate is
 reproducible from (N, seed).
@@ -37,21 +38,11 @@ from .ramified import (
     vanishing_theta_chars,
 )
 
-Point = tuple[int, int]
-
 MAX_ATTEMPTS = 1000  # draws a sampler makes before it gives up
 LIST_CHARACTERS_MAX_G = 5  # hyperelliptic reports list characters up to here
 # pair_i + pair_j + base point for (i, j) in (0, 1), (0, 2), (1, 2): the
 # subsets of the genus-6 build's three forced extras
 FORCED_SUBSET_MASKS = tuple((0b11 << 2 * i) | (0b11 << 2 * j) | (1 << 9) for i, j in ((0, 1), (0, 2), (1, 2)))
-
-
-def _add(p: Point, q: Point, N: int) -> Point:
-    return ((p[0] + q[0]) % N, (p[1] + q[1]) % N)
-
-
-def _sub(p: Point, q: Point, N: int) -> Point:
-    return ((p[0] - q[0]) % N, (p[1] - q[1]) % N)
 
 
 def build_bielliptic_genus6(N: int = 240, seed: int = 0) -> RamifiedCoverSpec:
@@ -60,25 +51,23 @@ def build_bielliptic_genus6(N: int = 240, seed: int = 0) -> RamifiedCoverSpec:
     Branch points are ordered pair_1, pair_2, pair_3, triple, base point:
     three members of a degree-2 pencil, a member of its twist by the base
     point, and the point; the cover class is 2 * pencil + base point.
-    Points are drawn from the even sublattice, the last point of each
-    divisor solved for; a collision redraws everything.
+    Classes are drawn from the even sublattice, the last point of each
+    divisor solved for with the model's group law; a collision redraws
+    everything.
     """
     model = EllipticModel(N)
     rng = random.Random(seed)
+
+    def draw(degree: int = 1) -> LineBundleClass:
+        return LineBundleClass(ELLIPTIC, degree, model.random_even_point(rng))
+
     for _ in range(MAX_ATTEMPTS):
-        base = model.random_even_point(rng)
-        pencil = model.random_even_point(rng)
-        x1 = model.random_even_point(rng)
-        x2 = model.random_even_point(rng)
-        x3 = _sub(_add(pencil, base, N), _add(x1, x2, N), N)
-        triple = (x1, x2, x3)
-        pairs = []
-        for _ in range(3):
-            y = model.random_even_point(rng)
-            pairs.append((y, _sub(pencil, y, N)))
-        points = [p for pair in pairs for p in pair] + list(triple) + [base]
+        base, pencil, x1, x2 = draw(), draw(2), draw(), draw()
+        x3 = model.tensor(model.tensor(pencil, base), model.inverse(model.tensor(x1, x2)))
+        pairs = [(y, model.tensor(pencil, model.inverse(y))) for y in (draw(), draw(), draw())]
+        points = [p for pair in pairs for p in pair] + [x1, x2, x3, base]
         if len(set(points)) == 10:
-            cover = LineBundleClass(ELLIPTIC, 5, _add(_add(pencil, pencil, N), base, N))
+            cover = model.tensor(model.tensor(pencil, pencil), base)
             return RamifiedCoverSpec(model, 5, tuple(points), cover)
     raise ModelError(
         f"could not sample 10 distinct construction points in {MAX_ATTEMPTS} attempts; "
@@ -119,10 +108,10 @@ def count_vanishing_genus6(N: int = 240, seed: int = 0) -> dict:
         "config": {
             "N": N,
             "seed": seed,
-            "base_point": list(points[9]),
-            "pencil_point": list(_add(points[0], points[1], N)),
-            "pair_divisors": [[list(p) for p in points[i : i + 2]] for i in (0, 2, 4)],
-            "triple_divisor": [list(p) for p in points[6:9]],
+            "base_point": list(points[9].torsion),
+            "pencil_point": list(spec.model.tensor(points[0], points[1]).torsion),
+            "pair_divisors": [[list(p.torsion) for p in points[i : i + 2]] for i in (0, 2, 4)],
+            "triple_divisor": [list(p.torsion) for p in points[6:9]],
             "cover_class": spec.cover_class.to_json(),
         },
         "count": len(vanishing),
@@ -168,7 +157,7 @@ def sample_bielliptic_spec(r: int, N: int = 240, seed: int = 0) -> RamifiedCover
         sx = sum(p[0] for p in points)
         sy = sum(p[1] for p in points)
         cover = LineBundleClass(ELLIPTIC, r, ((sx // 2) % N, (sy // 2) % N))
-        return RamifiedCoverSpec(model, r, tuple(points), cover)
+        return RamifiedCoverSpec(model, r, tuple(LineBundleClass(ELLIPTIC, 1, p) for p in points), cover)
     raise ModelError(
         f"could not sample {2 * r} distinct branch points in {MAX_ATTEMPTS} attempts; "
         "try a larger torsion modulus"
@@ -195,7 +184,7 @@ def count_vanishing_generic_bielliptic(g: int, N: int = 240, seed: int = 0) -> d
         "r": r,
         "N": N,
         "seed": seed,
-        "branch_points": [list(p) for p in spec.branch_points],
+        "branch_points": [list(p.torsion) for p in spec.branch_points],
         "cover_class": spec.cover_class.to_json(),
         "count": len(vanishing),
         "lower_bound": closed_form_counts(1, r)["vanishing_lb"],
@@ -215,7 +204,7 @@ def hyperelliptic_report(g: int) -> dict:
     refuse_over_budget(g, f"genus {g}")
     spec = RamifiedCoverSpec.rational(r)
     chars = enumerate_theta_chars(spec)
-    vanishing = [tc for tc in chars if is_vanishing(spec, tc)]
+    parities = [parity(spec, tc) for tc in chars]
     report = {
         "b": 0,
         "r": r,
@@ -223,9 +212,9 @@ def hyperelliptic_report(g: int) -> dict:
         **closed_form_counts(0, r),
         "enumerated": {
             "total": len(chars),
-            "even": sum(1 for tc in chars if parity(spec, tc) == 0),
-            "odd": sum(1 for tc in chars if parity(spec, tc) == 1),
-            "vanishing": len(vanishing),
+            "even": parities.count(0),
+            "odd": parities.count(1),
+            "vanishing": sum(1 for tc in chars if is_vanishing(spec, tc)),
         },
         "model": {"kind": spec.model.kind, "b": spec.b},
     }
@@ -234,9 +223,9 @@ def hyperelliptic_report(g: int) -> dict:
             {
                 "bundle_degree": tc.bundle.degree,
                 "subset_indices": _mask_indices(tc.subset_mask),
-                "parity": parity(spec, tc),
+                "parity": p,
                 "h0": h0_theta(spec, tc),
             }
-            for tc in chars
+            for tc, p in zip(chars, parities)
         ]
     return report

@@ -85,13 +85,6 @@ class BaseCurveModel:
         self._check(x)
         return LineBundleClass(self.kind, -x.degree, tuple([-t % m for t, m in zip(x.torsion, self.moduli)]))
 
-    def point_class(self, p) -> LineBundleClass:
-        """Class of one point: an elliptic point is its (x, y) coordinates;
-        points of the other models are labels carrying no torsion."""
-        if self.kind != ELLIPTIC:
-            return LineBundleClass(self.kind, 1, (0,) * len(self.moduli))
-        return LineBundleClass(self.kind, 1, tuple([c % m for c, m in zip(p, self.moduli)]))
-
     def canonical_class(self) -> LineBundleClass:
         return LineBundleClass(self.kind, 2 * self.b - 2, (0,) * len(self.moduli))
 

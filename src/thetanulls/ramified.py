@@ -40,11 +40,12 @@ from .picard import (
 
 @dataclass(frozen=True)
 class RamifiedCoverSpec:
-    """Branch data of a double cover: 2r branch points and the cover class."""
+    """Branch data of a double cover: the cover class rho and 2r branch points,
+    each a degree-1 class; like rho, each has even torsion in 0..m-1."""
 
     model: BaseCurveModel
     r: int
-    branch_points: tuple
+    branch_points: tuple[LineBundleClass, ...]
     cover_class: LineBundleClass
 
     def __post_init__(self) -> None:
@@ -54,21 +55,20 @@ class RamifiedCoverSpec:
             raise ValueError(f"expected {2 * self.r} branch points, got {len(self.branch_points)}")
         if self.cover_class.degree != self.r:
             raise ValueError("the cover class must have degree r")
-        for p, cls in zip(self.branch_points, self.point_classes):
-            if any(t % 2 for t in cls.torsion):
-                raise ModelError(f"branch point {p} lies outside the even sublattice")
-        square = self.model.tensor(self.cover_class, self.cover_class)
+        for p in self.branch_points:
+            if p.degree != 1:
+                raise ValueError(f"branch points must have degree 1, got {p.degree}")
+            if any(t % 2 for t in p.torsion):
+                raise ModelError(f"branch point {p.torsion} lies outside the even sublattice")
+            if any(not 0 <= t < m for t, m in zip(p.torsion, self.model.moduli)):
+                raise ModelError(f"branch point {p.torsion} must have reduced coordinates")
         if any(t % 2 for t in self.cover_class.torsion):
             raise ModelError("the cover class must have even coordinates")
         if any(not 0 <= t < m for t, m in zip(self.cover_class.torsion, self.model.moduli)):
             raise ModelError("the cover class must have reduced coordinates")
+        square = self.model.tensor(self.cover_class, self.cover_class)
         if square != self.divisor_class(self.full_mask):
             raise ModelError("the cover class squared must be the branch divisor class")
-
-    @cached_property
-    def point_classes(self) -> tuple[LineBundleClass, ...]:
-        """The branch points' classes, built once per spec."""
-        return tuple(self.model.point_class(p) for p in self.branch_points)
 
     @cached_property
     def _twisted_canonical_torsion(self) -> tuple[int, ...]:
@@ -85,22 +85,22 @@ class RamifiedCoverSpec:
 
     @classmethod
     def rational(cls, r: int) -> "RamifiedCoverSpec":
-        """Hyperelliptic-style data over a rational base (2r abstract points)."""
-        return cls(RationalModel(), r, tuple(range(2 * r)), LineBundleClass(RATIONAL, r))
+        """Hyperelliptic-style data over a rational base: 2r points, each of degree 1."""
+        return cls(RationalModel(), r, (LineBundleClass(RATIONAL, 1),) * (2 * r), LineBundleClass(RATIONAL, r))
 
     @classmethod
     def generic(cls, b: int, r: int) -> "RamifiedCoverSpec":
-        """Parity-level data over a generic genus-b base."""
+        """Parity-level data over a generic genus-b base: 2r points with the trivial label."""
         model = GenericModel(b)
-        cover = LineBundleClass(GENERIC, r, model.trivial().torsion)
-        return cls(model, r, tuple(range(2 * r)), cover)
+        label = model.trivial().torsion
+        return cls(model, r, (LineBundleClass(GENERIC, 1, label),) * (2 * r), LineBundleClass(GENERIC, r, label))
 
     def divisor_class(self, mask: int) -> LineBundleClass:
         """The class of a subset as a tensor fold: the route the branch-data
         check and ``h0_theta_decomposed`` take, independent of
         ``square_target``'s integer arithmetic."""
         result = self.model.trivial()
-        for i, cls in enumerate(self.point_classes):
+        for i, cls in enumerate(self.branch_points):
             if (mask >> i) & 1:
                 result = self.model.tensor(result, cls)
         return result
@@ -111,7 +111,7 @@ class RamifiedCoverSpec:
         The chosen points' torsion is subtracted coordinate by coordinate
         and reduced once, so each subset builds exactly one class.
         """
-        chosen = [p.torsion for i, p in enumerate(self.point_classes) if (mask >> i) & 1]
+        chosen = [p.torsion for i, p in enumerate(self.branch_points) if (mask >> i) & 1]
         columns = zip(self._twisted_canonical_torsion, self.model.moduli, *chosen)
         return LineBundleClass(
             self.model.kind,

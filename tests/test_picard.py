@@ -10,11 +10,12 @@ from thetanulls.picard import (
     ModelError,
     RationalModel,
 )
+from thetanulls.ramified import RamifiedCoverSpec
 
 
 def divisor_class(model, points):
     """Class of a sum of points, folded from the point classes."""
-    return functools.reduce(model.tensor, map(model.point_class, points), model.trivial())
+    return functools.reduce(model.tensor, (LineBundleClass("elliptic", 1, p) for p in points), model.trivial())
 
 
 def test_class_kind_fields_validated():
@@ -28,7 +29,8 @@ def test_class_kind_fields_validated():
 
 def test_tensor_inverse_trivial():
     for model in (RationalModel(), EllipticModel(240), GenericModel(2)):
-        L = model.tensor(model.point_class((2, 4) if model.kind == "elliptic" else 0), model.canonical_class())
+        point = LineBundleClass(model.kind, 1, (2, 4) if model.kind == "elliptic" else model.trivial().torsion)
+        L = model.tensor(point, model.canonical_class())
         assert model.tensor(L, model.inverse(L)) == model.trivial()
 
 
@@ -42,7 +44,7 @@ def test_cover_class_degree_from_pencil():
     # square of a degree-2 class times a point has degree 5
     m = EllipticModel(240)
     alpha = divisor_class(m, [(2, 0), (0, 2)])
-    rho = m.tensor(m.tensor(alpha, alpha), m.point_class((4, 4)))
+    rho = m.tensor(m.tensor(alpha, alpha), LineBundleClass("elliptic", 1, (4, 4)))
     assert rho.degree == 5 and rho.torsion == (8, 8)
 
 
@@ -74,7 +76,10 @@ def test_h0_elliptic():
 
 
 def test_unreduced_elliptic_torsion_reads_as_its_residue():
-    # hand-built classes may carry torsion outside 0..N-1; they mean its residue
+    """Hand-built classes may carry torsion outside 0..N-1; the model's
+    operations read it as its residue.  A branch point is the exception:
+    ``RamifiedCoverSpec`` refuses one with unreduced torsion, as it refuses
+    such a cover class, rather than reading it as its residue."""
     m = EllipticModel(240)
     for t in ((240, 0), (-240, 480)):
         assert m.h0(LineBundleClass("elliptic", 0, t)) == 1
@@ -82,7 +87,10 @@ def test_unreduced_elliptic_torsion_reads_as_its_residue():
         # raw equality compares torsion as given; the model's operations reduce it
         assert m.tensor(LineBundleClass("elliptic", 0, t), m.trivial()) == m.trivial()
         assert m.inverse(LineBundleClass("elliptic", 0, t)) == m.trivial()
-        assert m.point_class(t).torsion == (0, 0)
+        # as a branch point it would square-match a cover class at (0, 0)
+        origin = LineBundleClass("elliptic", 1, (0, 0))
+        with pytest.raises(ModelError, match="reduced coordinates"):
+            RamifiedCoverSpec(m, 1, (LineBundleClass("elliptic", 1, t), origin), origin)
     assert m.h0(LineBundleClass("elliptic", 0, (246, 0))) == 0
     roots = m.sqrt_classes(LineBundleClass("elliptic", 2, (244, -2)))
     assert [r.torsion for r in roots] == [(2, 119), (122, 119), (2, 239), (122, 239)]
@@ -161,8 +169,7 @@ def test_elliptic_modulus_must_be_multiple_of_four():
 
 
 def test_class_json():
-    m = EllipticModel(240)
-    assert m.point_class((2, 2)).to_json() == {"kind": "elliptic", "degree": 1, "point": [2, 2]}
+    assert LineBundleClass("elliptic", 1, (2, 2)).to_json() == {"kind": "elliptic", "degree": 1, "point": [2, 2]}
     g = GenericModel(2)
     assert g.trivial().to_json() == {"kind": "generic", "degree": 0, "label": "0000"}
     assert RationalModel().trivial().to_json() == {"kind": "rational", "degree": 0}

@@ -7,7 +7,12 @@ and the pretty renderings of a verify suite's PASS lines and of a count
 report.  Then come whole construct ranges, which repeat one README
 example (hyperelliptic genus 3): hyperelliptic genus 2 to 8, and twenty
 seeds each of the genus-6 certificate (200 to 219) and of a generic
-genus-6 bielliptic cover (100 to 119).
+genus-6 bielliptic cover (100 to 119).  Last come the samplers' redraw
+paths at small moduli, where a collision of branch points redraws the
+whole configuration: five seeds of the genus-6 certificate at N = 8
+and 12 (at N = 8 seeds 0 to 4 take 5, 17, 57, 7 and 71 draws), three
+of generic bielliptic covers of genus 3 to 5 at N = 8, and generic
+covers of genus 7 and 8 at the default modulus.
 """
 
 import hashlib
@@ -176,6 +181,69 @@ STDOUT_SHA256 = {
     ),
     "construct bielliptic-generic --g 6 --seed 119": (
         "84240f307063f27bbc81393e5be1d350f6f67960ae35b81fef9f03ef33bc872b"
+    ),
+    "construct bielliptic-g6 --N 8 --seed 0": (
+        "55e936f1586169da630fe1916552358d3ca3b98f34c34004507bbba883e58ec5"
+    ),
+    "construct bielliptic-g6 --N 8 --seed 1": (
+        "3c60adea25770af26b72778b0f69f3b80f50bec0d11141e2961313cc13209df8"
+    ),
+    "construct bielliptic-g6 --N 8 --seed 2": (
+        "05f0d400635162a9e518fcd00e87586237236f218f5229472e5ee9394853db66"
+    ),
+    "construct bielliptic-g6 --N 8 --seed 3": (
+        "68a7a3880d36e3283053ab447aa1f674d7a6457dcee4d7384a20651e1341adc7"
+    ),
+    "construct bielliptic-g6 --N 8 --seed 4": (
+        "99ae0553941f9eb9977a7541fb1ed0faa16b2a6f4694bb0dd3d008a9dc2d6508"
+    ),
+    "construct bielliptic-g6 --N 12 --seed 0": (
+        "3737b54b82a8e506f999ea8d99627e49eefa011289452fd27cacb0fa20861813"
+    ),
+    "construct bielliptic-g6 --N 12 --seed 1": (
+        "4a2844f1de7970d63c35288d6939d1a007d9d7009cc9ea1d0bfe5e767b9151b3"
+    ),
+    "construct bielliptic-g6 --N 12 --seed 2": (
+        "af5b7f653b0629592f527d77bb5ec57a01360668365fe84e102b72e59a96aa63"
+    ),
+    "construct bielliptic-g6 --N 12 --seed 3": (
+        "3d907e31cc8fe535b7916cd52fd42ed8e6dabc5207d3159ce53ff66ea905d176"
+    ),
+    "construct bielliptic-g6 --N 12 --seed 4": (
+        "a4dee65b29c9cd25a6b7e168ccf42605c25d3c01100b415bdbea236888d103f8"
+    ),
+    "construct bielliptic-generic --g 3 --N 8 --seed 0": (
+        "0d27c158d7fbaf19e3d976f53f895ff716e88f67198a08c42eef25c5536d774f"
+    ),
+    "construct bielliptic-generic --g 3 --N 8 --seed 1": (
+        "0de750e2d6e605e631ee4d2a827d55874dcdb3e86c98069e8d1711de0a5ecb2a"
+    ),
+    "construct bielliptic-generic --g 3 --N 8 --seed 2": (
+        "320b39c64b2fe0f204d1412dbc8acab94dc8c145ecd40dfcab2998c3ae70af9e"
+    ),
+    "construct bielliptic-generic --g 4 --N 8 --seed 0": (
+        "3fab891b29141acebdbb8207f15b560226ffdfe8f861952b24c2defabc8c082d"
+    ),
+    "construct bielliptic-generic --g 4 --N 8 --seed 1": (
+        "7b2a4f9c46092b46d5c5840d249e913ddf600b76546a4883f5522620f111c283"
+    ),
+    "construct bielliptic-generic --g 4 --N 8 --seed 2": (
+        "10c34de2d40e0b852e9ba08459c02209ac339943860ad6dbee89f13840e86bd6"
+    ),
+    "construct bielliptic-generic --g 5 --N 8 --seed 0": (
+        "28d87a6fc3147efab29d062f31a5556a12cd7a22d72163f766d1daf109aa3de4"
+    ),
+    "construct bielliptic-generic --g 5 --N 8 --seed 1": (
+        "3d18883f131abbdc474fbb3385848d08fe46c77576518df3ba7e5d56fb1e5d99"
+    ),
+    "construct bielliptic-generic --g 5 --N 8 --seed 2": (
+        "b7078a54f3d99580d4f5ed6012f62ec9bde1895cd13c025ca024603d9f8ef8e9"
+    ),
+    "construct bielliptic-generic --g 7 --seed 0": (
+        "ee3e6619f167900db125b1ec5480072e0a672f75931b3bf429d9145c41067068"
+    ),
+    "construct bielliptic-generic --g 8 --seed 0": (
+        "38b66dd33156b14a52e0fe245e38cb8da9f870488bc05870c8cc9df2f7c42f86"
     ),
 }
 
