@@ -4,7 +4,9 @@ import pytest
 
 from thetanulls.gf2 import GF2Vector, pairing
 from thetanulls.quadforms import (
+    VALUE_TABLE_MAX_DIM,
     QuadraticForm,
+    _carries,
     affine_difference,
     all_forms,
     arf_by_zero_count,
@@ -95,9 +97,42 @@ def test_value_table_matches_direct_evaluation():
                 assert (table >> v.bits) & 1 == q(v)
 
 
+@pytest.mark.parametrize("dim", range(10, 21, 2))
+def test_value_table_matches_direct_evaluation_large(dim):
+    # both carries of every step, the largest included: the all-zero and
+    # all-one basis values, and a single set bit at each of the top two
+    # steps; each block's first bit and partner pattern are read at e_j and
+    # e_j + e_(j+1), besides random vectors
+    rng = random.Random(dim)
+    words = [0, (1 << dim) - 1, 1 << (dim - 1), 1 << (dim - 2)]
+    words += [rng.randrange(1 << dim) for _ in range(3)]
+    edges = [0, (1 << dim) - 1] + [1 << j for j in range(dim)] + [3 << j for j in range(dim - 1)]
+    for bv in words:
+        q = QuadraticForm(dim, bv)
+        table = value_table(q)
+        for bits in edges + [rng.randrange(1 << dim) for _ in range(256)]:
+            assert (table >> bits) & 1 == q(GF2Vector(bits, dim))
+
+
+def test_value_table_independent_of_call_order():
+    q = QuadraticForm(20, random.Random(20).randrange(1 << 20))
+    _carries.cache_clear()
+    first = value_table(q)
+    smaller = [value_table(QuadraticForm(dim, (1 << dim) - 1)) for dim in range(2, 19, 2)]
+    assert value_table(q) == first
+    _carries.cache_clear()
+    assert [value_table(QuadraticForm(dim, (1 << dim) - 1)) for dim in range(2, 19, 2)] == smaller
+    assert value_table(q) == first
+
+
 def test_value_table_dimension_cap():
+    # the refusal comes before any carry is built or looked up
+    before = _carries.cache_info()
     with pytest.raises(ValueError):
-        value_table(QuadraticForm(26, 0))
+        value_table(QuadraticForm(VALUE_TABLE_MAX_DIM + 2, 0))
+    assert _carries.cache_info() == before
+    assert arf_by_zero_count(QuadraticForm(VALUE_TABLE_MAX_DIM, 0)) == 0
+    assert _carries.cache_info().currsize <= VALUE_TABLE_MAX_DIM
 
 
 def test_arf_standard_form_is_zero():
