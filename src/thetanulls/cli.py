@@ -27,8 +27,6 @@ from .picard import ModelError
 from .report import build_report, dumps, render_pretty
 from .verify import SUITES
 
-MAX_GENUS = 46
-
 CONSTRUCT_TARGETS = {
     "bielliptic-g6": count_vanishing_genus6,
     "bielliptic-generic": count_vanishing_generic_bielliptic,
@@ -37,8 +35,8 @@ CONSTRUCT_TARGETS = {
 
 
 def _checked_genus(g: int) -> int:
-    if g > MAX_GENUS:
-        raise ValueError(f"genus {g} exceeds the supported bound {MAX_GENUS}")
+    if g > ramified.MAX_GENUS:
+        raise ValueError(f"genus {g} exceeds the supported bound {ramified.MAX_GENUS}")
     return g
 
 

@@ -33,22 +33,15 @@ class ModelError(Exception):
 @dataclass(frozen=True)
 class LineBundleClass:
     """A divisor class: degree plus a torsion tuple, one coordinate per
-    cyclic factor of the model (empty on the rational model).  Equality
-    and hashing compare torsion as given: every class a model builds is
-    reduced, and a hand-built class ``c`` compares correctly after
+    cyclic factor of the model (empty on the rational model).  Each model
+    operation on a class, not construction, refuses a wrong kind or torsion length.
+    Equality and hashing compare torsion as given: every class a model builds
+    is reduced, and a hand-built class ``c`` compares correctly after
     ``model.tensor(c, model.trivial())``."""
 
     kind: str
     degree: int
     torsion: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind == RATIONAL and self.torsion:
-            raise ValueError("rational classes carry no torsion")
-        if self.kind == ELLIPTIC and len(self.torsion) != 2:
-            raise ValueError("elliptic classes carry exactly a torsion point")
-        if self.kind == GENERIC and not self.torsion:
-            raise ValueError("generic classes carry exactly a 2-torsion label")
 
     def to_json(self) -> dict:
         data: dict = {"kind": self.kind, "degree": self.degree}

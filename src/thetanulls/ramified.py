@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from typing import NamedTuple
 
 from .picard import (
     GENERIC,
@@ -120,9 +121,9 @@ class RamifiedCoverSpec:
         )
 
 
-@dataclass(frozen=True)
-class RamifiedThetaChar:
-    """One invariant theta characteristic as a (bundle, subset) pair."""
+class RamifiedThetaChar(NamedTuple):
+    """One invariant theta characteristic as a (bundle, subset) pair; a named
+    tuple, so it equals and hashes as the plain tuple ``(bundle, subset_mask)``."""
 
     bundle: LineBundleClass
     subset_mask: int
@@ -217,6 +218,11 @@ def vanishing_theta_chars(spec: RamifiedCoverSpec) -> list[RamifiedThetaChar]:
 # the most characteristics an enumerating path builds; larger inputs are refused
 MAX_ENUMERATED_CHARS = 1 << 18
 
+# the largest genus a count reports: it limits work before it starts, not exactness;
+# the closed forms take milliseconds far beyond it, and a report first fails near
+# g = 7,142, where a count passes CPython's 4,300-digit int-to-str limit
+MAX_GENUS = 46
+
 
 def refuse_over_budget(k: int, what: str) -> None:
     """Refuse ``what``, which would build 4^k characteristics, when that is
@@ -258,10 +264,10 @@ def binomial_identity_check(r: int) -> bool:
         C(2r, r) + 2 sum_{j >= 1} C(2r, r - 4j) = 2^(2r-2) + 2^(r-1),
 
     and four times either side must equal the exact Gaussian-integer sum
-    2^(2r) + (-i)^r (1+i)^(2r) + i^r (1-i)^(2r).
+    2^(2r) + (-i)^r (1+i)^(2r) + i^r (1-i)^(2r), for every r a count reaches.
     """
-    if not 1 <= r <= 30:
-        raise ValueError(f"identity check supported for 1 <= r <= 30, got {r}")
+    if not 1 <= r <= MAX_GENUS + 1:
+        raise ValueError(f"identity check supported for 1 <= r <= {MAX_GENUS + 1}, got {r}")
     lhs = comb(2 * r, r) + 2 * sum(comb(2 * r, r - 4 * j) for j in range(1, r // 4 + 1))
     rhs = (1 << (2 * r - 2)) + (1 << (r - 1))
     plus_re, plus_im = _gaussian_power(1, 1, 2 * r)

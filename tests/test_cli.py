@@ -85,7 +85,7 @@ def test_usage_errors_exit_2(capsys):
 @pytest.mark.parametrize(
     "argv,expected",
     [
-        ("verify --suite identities --max-r 31", 2),
+        ("verify --suite identities --max-r 48", 2),
         ("verify --suite identities --max-r 0", 2),
         ("verify --suite counts --max-r 0", 2),
         ("verify --suite counts --max-b -1", 2),

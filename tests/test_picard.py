@@ -19,12 +19,20 @@ def divisor_class(model, points):
 
 
 def test_class_kind_fields_validated():
-    with pytest.raises(ValueError):
-        LineBundleClass("rational", 1, (0, 0))
-    with pytest.raises(ValueError):
-        LineBundleClass("elliptic", 1)
-    with pytest.raises(ValueError):
-        LineBundleClass("generic", 1)
+    # building a class checks nothing; the model of its kind refuses a wrong
+    # torsion length at every operation that takes a class
+    cases = [
+        (RationalModel(), LineBundleClass("rational", 1, (0, 0))),
+        (EllipticModel(240), LineBundleClass("elliptic", 1)),
+        (GenericModel(2), LineBundleClass("generic", 1)),
+    ]
+    for model, cls in cases:
+        trivial = model.trivial()
+        calls = [(model.tensor, cls, trivial), (model.tensor, trivial, cls)]
+        calls += [(model.inverse, cls), (model.sqrt_classes, cls), (model.h0, cls)]
+        for op, *args in calls:
+            with pytest.raises(ValueError, match=f"is not a class of the '{model.kind}' model"):
+                op(*args)
 
 
 def test_tensor_inverse_trivial():

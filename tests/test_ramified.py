@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from thetanulls.constructions import sample_bielliptic_spec
-from thetanulls.picard import EllipticModel, LineBundleClass, ModelError
+from thetanulls.picard import EllipticModel, GenericModel, LineBundleClass, ModelError
 from thetanulls.ramified import (
     RamifiedCoverSpec,
     RamifiedThetaChar,
@@ -43,6 +43,16 @@ def test_spec_validation():
         RamifiedCoverSpec(m, 1, _points((0, 0), (2, 0), degree=2), LineBundleClass("elliptic", 1, (2, 0)))
     with pytest.raises(ValueError, match="is not a class of the 'elliptic' model"):  # wrong kind
         RamifiedCoverSpec(m, 1, (LineBundleClass("rational", 1),) * 2, LineBundleClass("elliptic", 1, (0, 0)))
+    # a wrong torsion length is refused by the model's shape check in the square check
+    with pytest.raises(ValueError, match=r"torsion=\(2,\)\) is not a class of the 'elliptic' model"):
+        RamifiedCoverSpec(m, 1, _points((2,), (0, 0)), LineBundleClass("elliptic", 1, (2, 0)))
+    generic = GenericModel(2)
+    short, point = LineBundleClass("generic", 1, (0, 0, 0)), LineBundleClass("generic", 1, generic.trivial().torsion)
+    with pytest.raises(ValueError, match=r"torsion=\(0, 0, 0\)\) is not a class of the 'generic' model"):
+        RamifiedCoverSpec(generic, 1, (short, point), point)
+    # with an odd coordinate, the spec's even-sublattice rule comes first
+    with pytest.raises(ModelError, match=r"branch point \(1,\) lies outside the even sublattice"):
+        RamifiedCoverSpec(m, 1, _points((1,), (0, 0)), LineBundleClass("elliptic", 1, (2, 0)))
 
 
 def test_unreduced_cover_class_refused():
@@ -268,10 +278,10 @@ def test_counts_match_enumeration_small():
 
 def test_binomial_identity_values():
     # r = 1: 2 = 2; r = 2: 6 = 6; r = 5: 252 + 2*10 = 256 + 16
-    for r in range(1, 31):
+    for r in range(1, 48):
         assert binomial_identity_check(r)
     with pytest.raises(ValueError):
-        binomial_identity_check(31)
+        binomial_identity_check(48)
 
 
 def test_asymptotic_ratio_values():
