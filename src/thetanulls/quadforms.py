@@ -10,10 +10,12 @@ evaluation, translation and the Arf invariant are all word operations.
 A form carries only the dimension 2n of its space, and enumerating all
 forms on the space is enumerating bit words of length 2n.
 
-The exhaustive value table, the oracle for the Arf invariant, doubles a
-packed word once per basis vector; the two carries of each doubling step
-are built once per step and cached, at most 24 entries: about 256 KB
-once a dimension-20 table has been built, about 4 MB at dimension 24.
+The exhaustive value table doubles a packed word once per basis vector;
+the two carries of each doubling step are built once per step and cached,
+at most 24 entries: about 256 KB once a dimension-20 table has been
+built, about 4 MB at dimension 24.  The Arf oracle counts zeros on the
+same recurrence but stops one step short and counts the last step's two
+halves apart, so it never builds the full 2^dim-bit table.
 """
 
 from __future__ import annotations
@@ -94,6 +96,20 @@ def _carries(j: int) -> tuple[int, int]:
     return partner, partner ^ ((1 << size) - 1)
 
 
+def _doubled(q: QuadraticForm, steps: int) -> int:
+    """Values of q on the vectors below 2^steps, packed as in ``value_table``:
+    the first ``steps`` doubling steps.  Refused above ``VALUE_TABLE_MAX_DIM``
+    before any carry is built or looked up."""
+    if q.dim > VALUE_TABLE_MAX_DIM:
+        raise ValueError(f"value table supported up to dimension {VALUE_TABLE_MAX_DIM}")
+    bv = q.basis_values
+    table = 0
+    for j in range(steps):
+        # table and carry both lie below 2^(2^j), so no mask is needed
+        table |= (table ^ _carries(j)[(bv >> j) & 1]) << (1 << j)
+    return table
+
+
 def value_table(q: QuadraticForm) -> int:
     """Values of q over all vectors, packed into one word (bit v = q(v)).
 
@@ -105,20 +121,21 @@ def value_table(q: QuadraticForm) -> int:
     ``VALUE_TABLE_MAX_DIM`` bounds the cache at 24 entries, about 256 KB
     once a dimension-20 table has been built and about 4 MB at dimension 24.
     """
-    dim = q.dim
-    if dim > VALUE_TABLE_MAX_DIM:
-        raise ValueError(f"value table supported up to dimension {VALUE_TABLE_MAX_DIM}")
-    bv = q.basis_values
-    table = 0
-    for j in range(dim):
-        # table and carry both lie below 2^(2^j), so no mask is needed
-        table |= (table ^ _carries(j)[(bv >> j) & 1]) << (1 << j)
-    return table
+    return _doubled(q, q.dim)
 
 
 def zero_count(q: QuadraticForm) -> int:
-    """Number of vectors on which q vanishes (exhaustive table)."""
-    return (1 << q.dim) - value_table(q).bit_count()
+    """Number of vectors on which q vanishes, from all 2^dim values.
+
+    The doubling runs for dim - 1 steps; the last step's two halves of the
+    table, the head and the head plus its carry, are counted apart instead
+    of joined, so the largest word built has 2^(dim-1) bits."""
+    if q.dim == 0:
+        return 1
+    top = q.dim - 1
+    head = _doubled(q, top)
+    tail = head ^ _carries(top)[(q.basis_values >> top) & 1]
+    return (1 << q.dim) - head.bit_count() - tail.bit_count()
 
 
 def arf_by_zero_count(q: QuadraticForm) -> int:

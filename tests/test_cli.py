@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -42,6 +43,19 @@ def test_count_etale_values(capsys):
     assert code == 0
     results = report["results"]
     assert (results["even"], results["odd"], results["T_size"]) == ("48", "16", "6")
+
+
+def test_count_etale_rho_at_the_enumeration_bound(capsys):
+    # the largest accepted --rho is an exhaustive count, and one genus more is refused
+    rng = random.Random(11)
+    rho = "".join(rng.choice("01") for _ in range(21)) + "1"
+    code, report = run_json(capsys, "count", "--case", "etale", "--b", "11", "--rho", rho)
+    assert code == 0
+    assert report["results"]["T_size_enumerated"] == report["results"]["T_size"] == "523776"
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--case", "etale", "--b", "12", "--rho", rho + "01"])
+    assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_count_genus2_edge(capsys):

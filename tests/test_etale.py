@@ -240,3 +240,23 @@ def test_word_filters_match_the_object_route():
         assert even_subspace(spec) == even
         assert vanishing_thetanulls(spec) == vanishing
         assert count_vanishing_enumerated(spec) == len(vanishing)
+
+
+@pytest.mark.parametrize("b", range(6, 12))
+def test_table_count_matches_closed_form_on_edge_covers(b):
+    # e_1, the top coordinate, all ones and seeded words: the canonical
+    # rule's top bit of swap_pairs(cover) at both ends, and both values of
+    # the cover's cross term
+    dim = 2 * b
+    rng = random.Random(b)
+    words = [1, 1 << (dim - 1), (1 << dim) - 1] + [rng.randrange(1, 1 << dim) for _ in range(3)]
+    expected = closed_form_counts(b)["T_size"]
+    for bits in words:
+        assert count_vanishing_enumerated(EtaleCoverSpec(b, GF2Vector(bits, dim))) == expected
+
+
+def test_table_count_matches_the_form_list_at_b6():
+    rng = random.Random(6)
+    for _ in range(4):
+        spec = EtaleCoverSpec(6, GF2Vector(rng.randrange(1, 1 << 12), 12))
+        assert count_vanishing_enumerated(spec) == len(vanishing_thetanulls(spec))

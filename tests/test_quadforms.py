@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -97,6 +98,12 @@ def test_value_table_matches_direct_evaluation():
                 assert (table >> v.bits) & 1 == q(v)
 
 
+def _edge_words(rng, dim):
+    """Basis values 0 and all-ones, a single set bit at each of the top two
+    steps, and 3 words drawn from rng: both carries of every step."""
+    return [0, (1 << dim) - 1, 1 << (dim - 1), 1 << (dim - 2)] + [rng.randrange(1 << dim) for _ in range(3)]
+
+
 @pytest.mark.parametrize("dim", range(10, 21, 2))
 def test_value_table_matches_direct_evaluation_large(dim):
     # both carries of every step, the largest included: the all-zero and
@@ -104,14 +111,38 @@ def test_value_table_matches_direct_evaluation_large(dim):
     # steps; each block's first bit and partner pattern are read at e_j and
     # e_j + e_(j+1), besides random vectors
     rng = random.Random(dim)
-    words = [0, (1 << dim) - 1, 1 << (dim - 1), 1 << (dim - 2)]
-    words += [rng.randrange(1 << dim) for _ in range(3)]
+    words = _edge_words(rng, dim)
     edges = [0, (1 << dim) - 1] + [1 << j for j in range(dim)] + [3 << j for j in range(dim - 1)]
     for bv in words:
         q = QuadraticForm(dim, bv)
         table = value_table(q)
         for bits in edges + [rng.randrange(1 << dim) for _ in range(256)]:
             assert (table >> bits) & 1 == q(GF2Vector(bits, dim))
+
+
+def test_zero_count_reads_every_value():
+    # zero_count never builds the table; it must count what the table holds
+    for dim in range(0, 9, 2):
+        for q in all_forms(dim):
+            assert zero_count(q) == (1 << dim) - value_table(q).bit_count()
+    for dim in range(10, 25, 2):
+        for bv in _edge_words(random.Random(dim), dim):
+            q = QuadraticForm(dim, bv)
+            assert zero_count(q) == (1 << dim) - value_table(q).bit_count()
+
+
+def test_zero_count_never_builds_the_full_table():
+    # a dimension-20 table is 128 KB; counting its two halves apart keeps the
+    # largest word at 64 KB
+    q = QuadraticForm(20, (1 << 20) - 1)
+    zero_count(q)  # warm the carries
+    tracemalloc.start()
+    try:
+        zero_count(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_value_table_independent_of_call_order():
@@ -128,9 +159,10 @@ def test_value_table_independent_of_call_order():
 def test_value_table_dimension_cap():
     # the refusal comes before any carry is built or looked up
     before = _carries.cache_info()
-    with pytest.raises(ValueError):
-        value_table(QuadraticForm(VALUE_TABLE_MAX_DIM + 2, 0))
-    assert _carries.cache_info() == before
+    for refused in (value_table, zero_count):
+        with pytest.raises(ValueError):
+            refused(QuadraticForm(VALUE_TABLE_MAX_DIM + 2, 0))
+        assert _carries.cache_info() == before
     assert arf_by_zero_count(QuadraticForm(VALUE_TABLE_MAX_DIM, 0)) == 0
     assert _carries.cache_info().currsize <= VALUE_TABLE_MAX_DIM
 
