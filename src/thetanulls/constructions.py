@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 
-from .picard import ELLIPTIC, EllipticModel, LineBundleClass, ModelError
+from .picard import DEFAULT_MODULUS, ELLIPTIC, EllipticModel, LineBundleClass, ModelError
 from .ramified import (
     RamifiedCoverSpec,
     RamifiedThetaChar,
@@ -45,7 +45,7 @@ LIST_CHARACTERS_MAX_G = 5  # hyperelliptic reports list characters up to here
 FORCED_SUBSET_MASKS = tuple((0b11 << 2 * i) | (0b11 << 2 * j) | (1 << 9) for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
-def build_bielliptic_genus6(N: int = 240, seed: int = 0) -> RamifiedCoverSpec:
+def build_bielliptic_genus6(N: int = DEFAULT_MODULUS, seed: int = 0) -> RamifiedCoverSpec:
     """Sample the tuned genus-6 branch data as its ``RamifiedCoverSpec``.
 
     Branch points are ordered pair_1, pair_2, pair_3, triple, base point:
@@ -75,7 +75,7 @@ def build_bielliptic_genus6(N: int = 240, seed: int = 0) -> RamifiedCoverSpec:
     )
 
 
-def count_vanishing_genus6(N: int = 240, seed: int = 0) -> dict:
+def count_vanishing_genus6(N: int = DEFAULT_MODULUS, seed: int = 0) -> dict:
     """Exact vanishing-thetanull count of ``build_bielliptic_genus6(N, seed)``, with a certificate.
 
     The certificate lists the guaranteed characteristics (subset smaller
@@ -135,7 +135,7 @@ def _char_json(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> dict:
     }
 
 
-def sample_bielliptic_spec(r: int, N: int = 240, seed: int = 0) -> RamifiedCoverSpec:
+def sample_bielliptic_spec(r: int, N: int = DEFAULT_MODULUS, seed: int = 0) -> RamifiedCoverSpec:
     """Unconstrained bielliptic branch data: 2r distinct even points.
 
     The coordinate sums are nudged to multiples of 4 (by adding 2 to the
@@ -164,7 +164,7 @@ def sample_bielliptic_spec(r: int, N: int = 240, seed: int = 0) -> RamifiedCover
     )
 
 
-def count_vanishing_generic_bielliptic(g: int, N: int = 240, seed: int = 0) -> dict:
+def count_vanishing_generic_bielliptic(g: int, N: int = DEFAULT_MODULUS, seed: int = 0) -> dict:
     """Exact vanishing count for a random bielliptic cover of genus g.
 
     Always at least the guaranteed lower bound; equality holds for

@@ -16,9 +16,11 @@ of whose members are even, and is syzygetic (triple products stay even).
 Only the generic vanishing mechanism (odd base bundle) is modelled;
 accidental vanishing on special bases is out of scope.
 
-A root-case characteristic is its ``GF2Vector`` label and a form-case
-one its canonical ``QuadraticForm``; forms are enumerated and filtered
-as basis-value words, and built only for the words a caller receives.
+Vectors of V, the cover class among them, are int words below 4^b.  A
+root-case characteristic is its label, the smaller word of {w, w ^ cover},
+and a form-case one its canonical ``QuadraticForm``; forms are enumerated
+and filtered as basis-value words, and built only for the words a caller
+receives.
 The exhaustive count of the vanishing set tests every basis-value word
 at once: each of its three predicates is a packed table over the words,
 read off ``quadforms.value_table``, and the count is a popcount.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import GF2Vector, swap_pairs
+from .gf2 import MAX_DIM, swap_pairs
 from .quadforms import QuadraticForm, _pair_parity, affine_difference, value_table
 
 # Largest base genus whose forms are counted exhaustively on request.  The
@@ -43,17 +45,19 @@ MAX_ENUMERATION_B = 11
 
 @dataclass(frozen=True)
 class EtaleCoverSpec:
-    """An unramified double cover: base genus and the 2-torsion cover class."""
+    """An unramified double cover: base genus b and the cover class, a nonzero word below 4^b."""
 
     b: int
-    cover_class: GF2Vector
+    cover_class: int
 
     def __post_init__(self) -> None:
         if self.b < 1:
             raise ValueError("base genus must be at least 1")
-        if self.cover_class.dim != 2 * self.b:
+        if 2 * self.b > MAX_DIM:
+            raise ValueError(f"dimension must be even and in 2..{MAX_DIM}, got {2 * self.b}")
+        if not 0 <= self.cover_class < 1 << (2 * self.b):
             raise ValueError("cover class must live in GF(2)^(2b)")
-        if self.cover_class.is_zero:
+        if not self.cover_class:
             raise ValueError("the cover class of a connected cover is nonzero")
 
     @property
@@ -64,18 +68,18 @@ class EtaleCoverSpec:
     def default(cls, b: int) -> "EtaleCoverSpec":
         """Cover cut out by the first basis vector; counts are independent
         of the choice."""
-        return cls(b, GF2Vector(1, 2 * b))
+        return cls(b, 1)
 
 
-# a twist-class label (root case) or a canonical quadratic form (form case)
-EtaleThetaChar = GF2Vector | QuadraticForm
+# a twist-class label word (root case) or a canonical quadratic form (form case)
+EtaleThetaChar = int | QuadraticForm
 
 
 def canonical_form(spec: EtaleCoverSpec, q: QuadraticForm) -> QuadraticForm:
     """Form-case representative: of q and its translate by the cover class,
     the one whose word has the top bit of ``swap_pairs(cover)`` clear, the
     rule ``_canonical_words`` states."""
-    top = swap_pairs(spec.cover_class.bits).bit_length() - 1
+    top = swap_pairs(spec.cover_class).bit_length() - 1
     if q.basis_values >> top & 1:
         q = q.translate(spec.cover_class)
     return q
@@ -93,19 +97,12 @@ def _canonical_words(dim: int, translation: int) -> Iterator[int]:
         yield from range(start, start + top)
 
 
-def _form_words(spec: EtaleCoverSpec, value: int | None = None, arf: int | None = None) -> Iterator[int]:
-    """Basis-value words of the canonical forms, in increasing order, with
-    q(cover) = value and Arf invariant ``arf`` where those are given."""
-    dim = 2 * spec.b
-    rho = spec.cover_class.bits
+def _even_words(spec: EtaleCoverSpec) -> Iterator[int]:
+    """Basis-value words of the canonical forms with q(cover) = 0, in increasing order."""
+    rho = spec.cover_class
     # q(cover) is the cover's cross term plus the sum of the basis values over its support
-    target = None if value is None else value ^ _pair_parity(rho)
-    for bv in _canonical_words(dim, swap_pairs(rho)):
-        if target is not None and (bv & rho).bit_count() & 1 != target:
-            continue
-        if arf is not None and _pair_parity(bv) != arf:
-            continue
-        yield bv
+    cross = _pair_parity(rho)
+    return (bv for bv in _canonical_words(2 * spec.b, swap_pairs(rho)) if (bv & rho).bit_count() & 1 == cross)
 
 
 def _form_chars(spec: EtaleCoverSpec, words: Iterator[int]) -> list[QuadraticForm]:
@@ -115,14 +112,13 @@ def _form_chars(spec: EtaleCoverSpec, words: Iterator[int]) -> list[QuadraticFor
 
 def enumerate_etale(spec: EtaleCoverSpec) -> list[EtaleThetaChar]:
     """All 2^(g+1) invariant theta characteristics, root cases first."""
-    dim = 2 * spec.b
-    roots = [GF2Vector(bits, dim) for bits in _canonical_words(dim, spec.cover_class.bits)]
-    return roots + _form_chars(spec, _form_words(spec))
+    dim, rho = 2 * spec.b, spec.cover_class
+    return list(_canonical_words(dim, rho)) + _form_chars(spec, _canonical_words(dim, swap_pairs(rho)))
 
 
 def parity_etale(spec: EtaleCoverSpec, tc: EtaleThetaChar) -> int:
     """Root cases are even; form cases have parity q(cover)."""
-    return 0 if isinstance(tc, GF2Vector) else tc(spec.cover_class)
+    return 0 if isinstance(tc, int) else tc(spec.cover_class)
 
 
 def vanishing_thetanulls(spec: EtaleCoverSpec) -> list[QuadraticForm]:
@@ -132,7 +128,8 @@ def vanishing_thetanulls(spec: EtaleCoverSpec) -> list[QuadraticForm]:
     preserves q(cover), and preserves the Arf invariant exactly when
     q(cover) = 0.  Empty for a genus-1 base.
     """
-    return _form_chars(spec, _form_words(spec, value=0, arf=1))
+    # the Arf invariant of a form is the pair parity of its basis-value word
+    return _form_chars(spec, filter(_pair_parity, _even_words(spec)))
 
 
 def count_vanishing_enumerated(spec: EtaleCoverSpec) -> int:
@@ -149,7 +146,7 @@ def count_vanishing_enumerated(spec: EtaleCoverSpec) -> int:
     if spec.b > MAX_ENUMERATION_B:
         raise ValueError(f"enumerating forms runs up to base genus {MAX_ENUMERATION_B}, got {spec.b}")
     dim = 2 * spec.b
-    rho = spec.cover_class.bits
+    rho = spec.cover_class
     ones = (1 << (1 << dim)) - 1
     arf = value_table(QuadraticForm(dim, 0))
     on_cover = value_table(QuadraticForm(dim, rho)) ^ arf
@@ -179,15 +176,15 @@ def even_subspace(spec: EtaleCoverSpec) -> list[QuadraticForm]:
     """The affine subspace {q(cover) = 0} of size 2^(g-1), all even; it
     contains every vanishing thetanull and is closed under triple
     products."""
-    return _form_chars(spec, _form_words(spec, value=0))
+    return _form_chars(spec, _even_words(spec))
 
 
 def _triple_form(t1: EtaleThetaChar, t2: EtaleThetaChar, t3: EtaleThetaChar) -> QuadraticForm:
     """The form of t2 (x) t3 (x) t1^{-1}: t1 translated by the affine
     differences that lead from it to t2 and to t3."""
-    if isinstance(t1, GF2Vector) or isinstance(t2, GF2Vector) or isinstance(t3, GF2Vector):
+    if isinstance(t1, int) or isinstance(t2, int) or isinstance(t3, int):
         raise ValueError("triple products are only defined within the form case")
-    return t1.translate(affine_difference(t1, t2) + affine_difference(t1, t3))
+    return t1.translate(affine_difference(t1, t2) ^ affine_difference(t1, t3))
 
 
 def triple_product(

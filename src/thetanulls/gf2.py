@@ -1,9 +1,10 @@
-"""Bit-packed vectors and the symplectic pairing over the two-element field.
+"""Words of GF(2)^(2n), the symplectic pairing, and the ``--rho`` parse type.
 
-Vectors live in GF(2)^(2n) with the hyperbolic basis ordered
-(a1, b1, a2, b2, ...).  In this order the pairing matrix is block
-diagonal, so pairing values are index-local (a swap inside each pair)
-and a single machine word holds any vector of dimension up to 64.
+A vector is an int word, coordinates packed little-endian in the
+hyperbolic basis order (a1, b1, a2, b2, ...); the spec or form holding it
+knows its dimension.  In this order the pairing matrix is block diagonal,
+so pairing values are index-local (a swap inside each pair) and a single
+machine word holds any vector of dimension up to 64.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ def swap_pairs(bits: int) -> int:
 
 @dataclass(frozen=True)
 class GF2Vector:
-    """Vector in GF(2)^dim with coordinates packed little-endian into ``bits``."""
+    """A ``--rho`` bitstring: its word ``bits`` in GF(2)^dim, dim even and at
+    most ``MAX_DIM``.  ``__add__``/``__xor__`` have no caller in the
+    package; they stay only because the benchmark's tests name them."""
 
     bits: int
     dim: int
@@ -41,10 +44,6 @@ class GF2Vector:
         return GF2Vector(self.bits ^ other.bits, self.dim)
 
     __xor__ = __add__
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def to_bitstring(self) -> str:
         """Coordinates as a 0/1 string, first coordinate first."""
@@ -64,9 +63,7 @@ class GF2Vector:
         return f"GF2Vector('{self.to_bitstring()}')"
 
 
-def pairing(u: GF2Vector, v: GF2Vector) -> int:
-    """Symplectic pairing e(u, v) = sum_i u[2i] v[2i+1] + u[2i+1] v[2i] mod 2."""
-    if u.dim != v.dim:
-        raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    return (u.bits & swap_pairs(v.bits)).bit_count() & 1
+def pairing(u: int, v: int) -> int:
+    """Symplectic pairing e(u, v) = sum_i u[2i] v[2i+1] + u[2i+1] v[2i] mod 2 of words."""
+    return (u & swap_pairs(v)).bit_count() & 1
 

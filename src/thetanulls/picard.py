@@ -24,6 +24,7 @@ from dataclasses import dataclass
 RATIONAL = "rational"
 ELLIPTIC = "elliptic"
 GENERIC = "generic"
+DEFAULT_MODULUS = 240  # the elliptic torsion modulus N when a caller names none
 
 
 class ModelError(Exception):
@@ -123,7 +124,7 @@ def RationalModel() -> BaseCurveModel:
     return BaseCurveModel(RATIONAL, 0, ())
 
 
-def EllipticModel(N: int = 240) -> BaseCurveModel:
+def EllipticModel(N: int = DEFAULT_MODULUS) -> BaseCurveModel:
     """Genus-1 base with degree-0 classes modelled by (Z/N)^2 torsion.
 
     Construction points are drawn from the even sublattice 2 (Z/N)^2 so

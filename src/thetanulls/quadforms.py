@@ -7,8 +7,9 @@ A form q is stored by its values on the standard basis and extended by
 which makes q(u + v) = q(u) + q(v) + e(u, v) hold identically.  With the
 interleaved basis the cross term collapses to sum_i c_{2i} c_{2i+1}, so
 evaluation, translation and the Arf invariant are all word operations.
-A form carries only the dimension 2n of its space, and enumerating all
-forms on the space is enumerating bit words of length 2n.
+A form carries only the dimension 2n of its space; the vectors it is
+evaluated on and translated by are int words below 2^(2n), and
+enumerating all forms on the space is enumerating bit words of length 2n.
 
 The exhaustive value table doubles a packed word once per basis vector;
 the two carries of each doubling step are built once per step and cached,
@@ -24,7 +25,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import EVEN_POSITIONS, MAX_DIM, GF2Vector, swap_pairs
+from .gf2 import EVEN_POSITIONS, MAX_DIM, swap_pairs
 
 VALUE_TABLE_MAX_DIM = 24
 
@@ -48,20 +49,20 @@ class QuadraticForm:
         if not 0 <= self.basis_values < (1 << self.dim):
             raise ValueError("basis values out of range for the space")
 
-    def __call__(self, v: GF2Vector) -> int:
-        if v.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {v.dim} vs {self.dim}")
-        return ((self.basis_values & v.bits).bit_count() & 1) ^ _pair_parity(v.bits)
+    def __call__(self, v: int) -> int:
+        if not 0 <= v < 1 << self.dim:
+            raise ValueError(f"vector word out of range for dimension {self.dim}")
+        return ((self.basis_values & v).bit_count() & 1) ^ _pair_parity(v)
 
     def arf(self) -> int:
         """Arf invariant as sum_i q(a_i) q(b_i) over the hyperbolic pairs."""
         return _pair_parity(self.basis_values)
 
-    def translate(self, alpha: GF2Vector) -> "QuadraticForm":
+    def translate(self, alpha: int) -> "QuadraticForm":
         """The form x -> q(x) + e(alpha, x); the affine action of the space."""
-        if alpha.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return QuadraticForm(self.dim, self.basis_values ^ swap_pairs(alpha.bits))
+        if not 0 <= alpha < 1 << self.dim:
+            raise ValueError(f"vector word out of range for dimension {self.dim}")
+        return QuadraticForm(self.dim, self.basis_values ^ swap_pairs(alpha))
 
 
 def all_forms(dim: int) -> Iterator[QuadraticForm]:
@@ -70,8 +71,8 @@ def all_forms(dim: int) -> Iterator[QuadraticForm]:
         yield QuadraticForm(dim, bv)
 
 
-def affine_difference(q1: QuadraticForm, q2: QuadraticForm) -> GF2Vector:
-    """The unique v with q2 = q1.translate(v).
+def affine_difference(q1: QuadraticForm, q2: QuadraticForm) -> int:
+    """The unique word v with q2 = q1.translate(v).
 
     The difference of two forms is the linear functional with basis values
     q1(e_i) + q2(e_i); against the interleaved pairing its dual vector is
@@ -79,7 +80,7 @@ def affine_difference(q1: QuadraticForm, q2: QuadraticForm) -> GF2Vector:
     """
     if q1.dim != q2.dim:
         raise ValueError("forms live on different spaces")
-    return GF2Vector(swap_pairs(q1.basis_values ^ q2.basis_values), q1.dim)
+    return swap_pairs(q1.basis_values ^ q2.basis_values)
 
 
 @functools.cache

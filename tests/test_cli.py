@@ -134,6 +134,7 @@ def test_usage_errors_exit_2(capsys):
         ("count --case etale --b 2 --json-out {missing}", 2),
         ("count --case etale --b 2 --rho 0000", 2),
         ("count --case etale --b 2 --rho 01", 2),
+        ("count --case etale --b 2 --rho 01000000", 2),
         ("count --case etale --b 12 --rho 1" + "0" * 23, 2),
         ("construct bielliptic-g6 --N 6", 3),
         ("construct bielliptic-generic --g 3 --N 6", 3),

@@ -16,24 +16,30 @@ from thetanulls.etale import (
     triple_product,
     vanishing_thetanulls,
 )
-from thetanulls.gf2 import GF2Vector
 from thetanulls.quadforms import QuadraticForm, all_forms
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        EtaleCoverSpec(0, GF2Vector(1, 2))
-    with pytest.raises(ValueError):
-        EtaleCoverSpec(2, GF2Vector(0, 4))
-    with pytest.raises(ValueError):
-        EtaleCoverSpec(2, GF2Vector(1, 2))
+    # base genus outside 1..32, the zero word, and a word outside 0 <= w < 4^b
+    outside = r"cover class must live in GF\(2\)\^\(2b\)"
+    for b, word, message in (
+        (0, 1, "base genus must be at least 1"),
+        (33, 1, "dimension must be even and in 2..64, got 66"),
+        (2, 0, "the cover class of a connected cover is nonzero"),
+        (1, 0b0100, outside),
+        (2, 16, outside),
+        (2, -1, outside),
+    ):
+        with pytest.raises(ValueError, match=message):
+            EtaleCoverSpec(b, word)
+    assert EtaleCoverSpec(32, (1 << 64) - 1).g == 63
 
 
 def test_enumeration_sizes():
     assert len(enumerate_etale(EtaleCoverSpec.default(1))) == 4
     chars = enumerate_etale(EtaleCoverSpec.default(2))
     assert len(chars) == 16
-    assert sum(1 for t in chars if isinstance(t, GF2Vector)) == 8
+    assert sum(1 for t in chars if isinstance(t, int)) == 8
     assert len(enumerate_etale(EtaleCoverSpec.default(3))) == 64
 
 
@@ -42,8 +48,8 @@ def test_enumeration_distinct_and_canonical():
     chars = enumerate_etale(spec)
     assert len(set(chars)) == len(chars)
     for tc in chars:
-        if isinstance(tc, GF2Vector):
-            assert tc.bits <= (tc + spec.cover_class).bits
+        if isinstance(tc, int):
+            assert tc <= tc ^ spec.cover_class
         else:
             assert canonical_form(spec, tc) == tc
 
@@ -53,7 +59,7 @@ def test_characteristics_are_root_labels_then_forms():
         spec = EtaleCoverSpec.default(b)
         half = 1 << (2 * b - 1)
         chars = enumerate_etale(spec)
-        assert [type(tc) for tc in chars] == [GF2Vector] * half + [QuadraticForm] * half
+        assert [type(tc) for tc in chars] == [int] * half + [QuadraticForm] * half
         evens = even_subspace(spec)
         returned = (
             [canonical_form(spec, q) for q in chars[half:]]
@@ -70,7 +76,7 @@ def test_parity_counts():
     assert parities.count(0) == 12  # 3 * 2^(g-1)
     assert parities.count(1) == 4  # 2^(g-1)
     for t in enumerate_etale(spec):
-        if isinstance(t, GF2Vector):
+        if isinstance(t, int):
             assert parity_etale(spec, t) == 0
         else:
             assert parity_etale(spec, t) == t(spec.cover_class)
@@ -160,7 +166,7 @@ def test_triple_with_odd_member_is_odd():
     odd_forms = [
         t
         for t in enumerate_etale(spec)
-        if not isinstance(t, GF2Vector) and t(spec.cover_class) == 1
+        if not isinstance(t, int) and t(spec.cover_class) == 1
     ]
     for t1 in evens:
         for t2 in evens:
@@ -170,8 +176,8 @@ def test_triple_with_odd_member_is_odd():
 
 def test_triple_product_root_case_unsupported():
     spec = EtaleCoverSpec.default(2)
-    root = next(t for t in enumerate_etale(spec) if isinstance(t, GF2Vector))
-    form = next(t for t in enumerate_etale(spec) if not isinstance(t, GF2Vector))
+    root = next(t for t in enumerate_etale(spec) if isinstance(t, int))
+    form = next(t for t in enumerate_etale(spec) if not isinstance(t, int))
     with pytest.raises(ValueError):
         triple_parity(spec, root, form, form)
 
@@ -204,7 +210,7 @@ def test_counts_independent_of_cover_class():
         dim = 2 * b
         baseline = None
         for bits in range(1, 1 << dim):
-            spec = EtaleCoverSpec(b, GF2Vector(bits, dim))
+            spec = EtaleCoverSpec(b, bits)
             chars = enumerate_etale(spec)
             parities = [parity_etale(spec, t) for t in chars]
             summary = (len(chars), parities.count(0), len(vanishing_thetanulls(spec)))
@@ -217,22 +223,21 @@ def _cover_specs():
     """Every nonzero cover class for b <= 3, and seeded ones for b = 4, 5."""
     for b in (1, 2, 3):
         for bits in range(1, 1 << (2 * b)):
-            yield EtaleCoverSpec(b, GF2Vector(bits, 2 * b))
+            yield EtaleCoverSpec(b, bits)
     rng = random.Random(2012)
     for b in (4, 5):
         for _ in range(8):
-            yield EtaleCoverSpec(b, GF2Vector(rng.randrange(1, 1 << (2 * b)), 2 * b))
+            yield EtaleCoverSpec(b, rng.randrange(1, 1 << (2 * b)))
 
 
 def test_word_filters_match_the_object_route():
     for spec in _cover_specs():
         rho = spec.cover_class
         chars = enumerate_etale(spec)
-        roots = [tc for tc in chars if isinstance(tc, GF2Vector)]
-        forms = [tc for tc in chars if not isinstance(tc, GF2Vector)]
-        vecs = [GF2Vector(bits, rho.dim) for bits in range(1 << rho.dim)]
-        labels = {min(v, v + rho, key=lambda u: u.bits) for v in vecs}
-        assert roots == sorted(labels, key=lambda u: u.bits)
+        roots = [tc for tc in chars if isinstance(tc, int)]
+        forms = [tc for tc in chars if not isinstance(tc, int)]
+        labels = {min(v, v ^ rho) for v in range(1 << (2 * spec.b))}
+        assert roots == sorted(labels)
         canonical = {canonical_form(spec, q) for q in all_forms(2 * spec.b)}
         assert forms == sorted(canonical, key=lambda tc: tc.basis_values)
         even = [tc for tc in forms if tc(rho) == 0]
@@ -252,11 +257,11 @@ def test_table_count_matches_closed_form_on_edge_covers(b):
     words = [1, 1 << (dim - 1), (1 << dim) - 1] + [rng.randrange(1, 1 << dim) for _ in range(3)]
     expected = closed_form_counts(b)["T_size"]
     for bits in words:
-        assert count_vanishing_enumerated(EtaleCoverSpec(b, GF2Vector(bits, dim))) == expected
+        assert count_vanishing_enumerated(EtaleCoverSpec(b, bits)) == expected
 
 
 def test_table_count_matches_the_form_list_at_b6():
     rng = random.Random(6)
     for _ in range(4):
-        spec = EtaleCoverSpec(6, GF2Vector(rng.randrange(1, 1 << 12), 12))
+        spec = EtaleCoverSpec(6, rng.randrange(1, 1 << 12))
         assert count_vanishing_enumerated(spec) == len(vanishing_thetanulls(spec))

@@ -4,8 +4,8 @@ from thetanulls.gf2 import GF2Vector, pairing, swap_pairs
 
 
 def vectors(dim):
-    """All vectors of GF(2)^dim, in increasing word order."""
-    return [GF2Vector(bits, dim) for bits in range(1 << dim)]
+    """All vectors of GF(2)^dim as words, in increasing order."""
+    return range(1 << dim)
 
 
 def test_vector_validation():
@@ -21,14 +21,14 @@ def test_vector_arithmetic():
     u = GF2Vector.from_bitstring("1010")
     v = GF2Vector.from_bitstring("0110")
     assert (u + v).to_bitstring() == "1100"
-    assert (u + u).is_zero
+    assert (u + u).bits == 0
     with pytest.raises(ValueError):
         u + GF2Vector(0, 6)
 
 
 def test_pairing_hyperbolic_pairs():
-    a = [GF2Vector(1 << 2 * i, 6) for i in range(3)]
-    b = [GF2Vector(1 << 2 * i + 1, 6) for i in range(3)]
+    a = [1 << 2 * i for i in range(3)]
+    b = [1 << 2 * i + 1 for i in range(3)]
     for i in range(3):
         for j in range(3):
             assert pairing(a[i], b[j]) == (1 if i == j else 0)
@@ -47,22 +47,17 @@ def test_pairing_bilinear_exhaustive_dim6():
     vecs = vectors(6)
     for u in vecs:
         for v in vecs:
-            s = u + v
+            s = u ^ v
             for w in vecs:
                 assert pairing(s, w) == pairing(u, w) ^ pairing(v, w)
 
 
 def test_pairing_nondegenerate():
     for n in (1, 2, 3, 4):
-        basis = [GF2Vector(1 << i, 2 * n) for i in range(2 * n)]
+        basis = [1 << i for i in range(2 * n)]
         for v in vectors(2 * n):
             if all(pairing(v, e) == 0 for e in basis):
-                assert v.is_zero
-
-
-def test_pairing_dimension_mismatch():
-    with pytest.raises(ValueError):
-        pairing(GF2Vector(0, 4), GF2Vector(0, 6))
+                assert v == 0
 
 
 def test_pairing_symmetric_in_char_two():
