@@ -50,9 +50,9 @@ def _etale_counts(b: int, rho: str | None = None) -> dict:
     g = _checked_genus(2 * b - 1)
     results = {"b": b, "g": g, **etale.closed_form_counts(b), "subspace_dim": g - 1}
     if rho is not None:
-        cover = GF2Vector.from_bitstring(rho)
-        if cover.dim != 2 * b:
+        if len(rho) != 2 * b:
             raise ValueError("cover class must live in GF(2)^(2b)")
+        cover = GF2Vector.from_bitstring(rho)
         results["T_size_enumerated"] = etale.count_vanishing_enumerated(etale.EtaleCoverSpec(b, cover.bits))
     return results
 

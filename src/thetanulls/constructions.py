@@ -68,7 +68,7 @@ def build_bielliptic_genus6(N: int = DEFAULT_MODULUS, seed: int = 0) -> Ramified
         points = [p for pair in pairs for p in pair] + [x1, x2, x3, base]
         if len(set(points)) == 10:
             cover = model.tensor(model.tensor(pencil, pencil), base)
-            return RamifiedCoverSpec(model, 5, tuple(points), cover)
+            return RamifiedCoverSpec(model, tuple(points), cover)
     raise ModelError(
         f"could not sample 10 distinct construction points in {MAX_ATTEMPTS} attempts; "
         "try a larger torsion modulus"
@@ -157,7 +157,7 @@ def sample_bielliptic_spec(r: int, N: int = DEFAULT_MODULUS, seed: int = 0) -> R
         sx = sum(p[0] for p in points)
         sy = sum(p[1] for p in points)
         cover = LineBundleClass(ELLIPTIC, r, ((sx // 2) % N, (sy // 2) % N))
-        return RamifiedCoverSpec(model, r, tuple(LineBundleClass(ELLIPTIC, 1, p) for p in points), cover)
+        return RamifiedCoverSpec(model, tuple(LineBundleClass(ELLIPTIC, 1, p) for p in points), cover)
     raise ModelError(
         f"could not sample {2 * r} distinct branch points in {MAX_ATTEMPTS} attempts; "
         "try a larger torsion modulus"

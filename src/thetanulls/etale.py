@@ -76,17 +76,16 @@ EtaleThetaChar = int | QuadraticForm
 
 
 def canonical_form(spec: EtaleCoverSpec, q: QuadraticForm) -> QuadraticForm:
-    """Form-case representative: of q and its translate by the cover class,
-    the one whose word has the top bit of ``swap_pairs(cover)`` clear, the
-    rule ``_canonical_words`` states."""
-    top = swap_pairs(spec.cover_class).bit_length() - 1
-    if q.basis_values >> top & 1:
-        q = q.translate(spec.cover_class)
-    return q
+    """Form-case representative: of q, with word w, and its translate by the
+    cover class, with word w ^ swap_pairs(cover), the one with the smaller
+    word, the rule ``_canonical_words`` walks."""
+    bv = q.basis_values
+    return q if bv < bv ^ swap_pairs(spec.cover_class) else q.translate(spec.cover_class)
 
 
 def _canonical_words(dim: int, translation: int) -> Iterator[int]:
-    """The words w < 2^dim with w < w ^ translation, in increasing order.
+    """The words w < 2^dim with w < w ^ translation, in increasing order: a
+    walk of the pair-representative rule that ``canonical_form`` applies.
 
     XOR with a nonzero translation flips its top bit, so w is the smaller
     of the pair exactly when w has that bit clear: the canonical words are

@@ -45,10 +45,6 @@ class GF2Vector:
 
     __xor__ = __add__
 
-    def to_bitstring(self) -> str:
-        """Coordinates as a 0/1 string, first coordinate first."""
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.dim))
-
     @classmethod
     def from_bitstring(cls, text: str) -> "GF2Vector":
         if set(text) - {"0", "1"}:
@@ -58,9 +54,6 @@ class GF2Vector:
             if ch == "1":
                 bits |= 1 << i
         return cls(bits, len(text))
-
-    def __repr__(self) -> str:
-        return f"GF2Vector('{self.to_bitstring()}')"
 
 
 def pairing(u: int, v: int) -> int:

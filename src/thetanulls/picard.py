@@ -2,7 +2,8 @@
 
 One model serves every base: the class group is Z x Z/m_1 x ... x Z/m_k,
 a degree plus a torsion tuple, and the package needs from it only
-addition, halving and section counts.  Three kinds of base:
+addition, halving and section counts.  A genus-b base has k = 2b torsion
+factors, so a model reads b off its moduli.  Three kinds of base:
 
 * ``rational`` -- no torsion: classes are bare integers (the degree).
 * ``elliptic`` -- torsion (Z/N)^2, an N-torsion point in Abel-Jacobi
@@ -56,11 +57,15 @@ class LineBundleClass:
 @dataclass(frozen=True)
 class BaseCurveModel:
     """Divisor classes on a genus-b base: Z x Z/m_1 x ... x Z/m_k, where
-    ``moduli`` lists the m_i."""
+    ``moduli`` lists the m_i; ``b = k // 2`` is set once, not a field."""
 
     kind: str
-    b: int
     moduli: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.moduli) % 2:
+            raise ModelError(f"a genus-b base has 2b torsion moduli, got {len(self.moduli)}")
+        object.__setattr__(self, "b", len(self.moduli) // 2)
 
     def _check(self, cls: LineBundleClass) -> None:
         if cls.kind != self.kind or len(cls.torsion) != len(self.moduli):
@@ -121,7 +126,7 @@ class BaseCurveModel:
 
 def RationalModel() -> BaseCurveModel:
     """Genus-0 base: the class group is Z via the degree."""
-    return BaseCurveModel(RATIONAL, 0, ())
+    return BaseCurveModel(RATIONAL, ())
 
 
 def EllipticModel(N: int = DEFAULT_MODULUS) -> BaseCurveModel:
@@ -132,11 +137,11 @@ def EllipticModel(N: int = DEFAULT_MODULUS) -> BaseCurveModel:
     """
     if N <= 0 or N % 4:
         raise ModelError(f"torsion modulus must be a positive multiple of 4, got {N}")
-    return BaseCurveModel(ELLIPTIC, 1, (N, N))
+    return BaseCurveModel(ELLIPTIC, (N, N))
 
 
 def GenericModel(genus: int) -> BaseCurveModel:
     """Genus b >= 2 base, tracked at parity level: degree + 2-torsion label."""
     if genus < 2:
         raise ModelError(f"generic model needs base genus >= 2, got {genus}")
-    return BaseCurveModel(GENERIC, genus, (2,) * (2 * genus))
+    return BaseCurveModel(GENERIC, (2,) * (2 * genus))

@@ -2,7 +2,8 @@
 
 A double cover pi: C -> B branched over 2r points is cut out by a class
 rho on B with rho^2 = O(branch divisor); the curve has genus
-g = 2b + r - 1 where b is the base genus.  Every invariant theta
+g = 2b + r - 1 where b is the base genus.  A spec holds the model, the
+branch points and rho, and reads b and r off them.  Every invariant theta
 characteristic is the pullback of a base bundle twisted by a subset of
 the branch points:
 
@@ -13,10 +14,10 @@ Parity is ((r - #E) / 2) mod 2 and section counts reduce to the base:
 h^0(kappa) = h^0(L) + h^0(K_B (x) L^{-1}).
 
 The enumeration below walks canonical pairs only: every subset with
-#E < r, and one of each complementary pair at #E = r (a size-r subset
-is canonical when it leaves out the last branch point).  Subsets run by
-size then lexicographic index order and square roots in model order, so
-reports and diffs are reproducible.
+#E < r, and one of each complementary pair at #E = r (a size-r mask w is
+canonical when w < w ^ full, that is, when it leaves out the last branch
+point).  Subsets run by size then lexicographic index order and square
+roots in model order, so reports and diffs are reproducible.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from typing import NamedTuple
 
@@ -41,19 +41,19 @@ from .picard import (
 
 @dataclass(frozen=True)
 class RamifiedCoverSpec:
-    """Branch data of a double cover: the cover class rho and 2r branch points,
-    each a degree-1 class; like rho, each has even torsion in 0..m-1."""
+    """Branch data of a double cover: the cover class rho and 2r branch points, each
+    a degree-1 class with, like rho, even torsion in 0..m-1; ``b``, ``r`` and the torsion
+    of K_B (x) rho are set once, as plain attributes rather than fields."""
 
     model: BaseCurveModel
-    r: int
     branch_points: tuple[LineBundleClass, ...]
     cover_class: LineBundleClass
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("need at least one pair of branch points")
-        if len(self.branch_points) != 2 * self.r:
-            raise ValueError(f"expected {2 * self.r} branch points, got {len(self.branch_points)}")
+        if not self.branch_points or len(self.branch_points) % 2:
+            raise ValueError(f"need a nonzero even number of branch points, got {len(self.branch_points)}")
+        object.__setattr__(self, "r", len(self.branch_points) // 2)
+        object.__setattr__(self, "b", self.model.b)
         if self.cover_class.degree != self.r:
             raise ValueError("the cover class must have degree r")
         for p in self.branch_points:
@@ -70,15 +70,9 @@ class RamifiedCoverSpec:
         square = self.model.tensor(self.cover_class, self.cover_class)
         if square != self.divisor_class(self.full_mask):
             raise ModelError("the cover class squared must be the branch divisor class")
-
-    @cached_property
-    def _twisted_canonical_torsion(self) -> tuple[int, ...]:
-        """The torsion of K_B (x) rho, computed once per spec."""
-        return self.model.tensor(self.model.canonical_class(), self.cover_class).torsion
-
-    @property
-    def b(self) -> int:
-        return self.model.b
+        # the torsion of K_B (x) rho, which every square target starts from
+        twisted = self.model.tensor(self.model.canonical_class(), self.cover_class)
+        object.__setattr__(self, "_twisted_canonical_torsion", twisted.torsion)
 
     @property
     def full_mask(self) -> int:
@@ -87,14 +81,14 @@ class RamifiedCoverSpec:
     @classmethod
     def rational(cls, r: int) -> "RamifiedCoverSpec":
         """Hyperelliptic-style data over a rational base: 2r points, each of degree 1."""
-        return cls(RationalModel(), r, (LineBundleClass(RATIONAL, 1),) * (2 * r), LineBundleClass(RATIONAL, r))
+        return cls(RationalModel(), (LineBundleClass(RATIONAL, 1),) * (2 * r), LineBundleClass(RATIONAL, r))
 
     @classmethod
     def generic(cls, b: int, r: int) -> "RamifiedCoverSpec":
         """Parity-level data over a generic genus-b base: 2r points with the trivial label."""
         model = GenericModel(b)
         label = model.trivial().torsion
-        return cls(model, r, (LineBundleClass(GENERIC, 1, label),) * (2 * r), LineBundleClass(GENERIC, r, label))
+        return cls(model, (LineBundleClass(GENERIC, 1, label),) * (2 * r), LineBundleClass(GENERIC, r, label))
 
     def divisor_class(self, mask: int) -> LineBundleClass:
         """The class of a subset as a tensor fold: the route the branch-data
@@ -141,9 +135,10 @@ def swap_representation(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> Ramif
 
 
 def canonicalize(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> RamifiedThetaChar:
-    """The canonical one of tc's two representations."""
+    """The canonical one of tc's two representations: the one with the smaller
+    subset, or at #E = r the one whose mask w has w < w ^ full_mask."""
     size = tc.subset_size
-    if size < spec.r or (size == spec.r and tc.subset_mask < 1 << (2 * spec.r - 1)):
+    if size < spec.r or (size == spec.r and tc.subset_mask < tc.subset_mask ^ spec.full_mask):
         return tc
     return swap_representation(spec, tc)
 
@@ -152,7 +147,8 @@ def enumerate_theta_chars(spec: RamifiedCoverSpec) -> list[RamifiedThetaChar]:
     """All 2^(2(g-b)) canonical invariant theta characteristics.
 
     Subsets run by size then lexicographic index tuples, canonical ones
-    only; bundles follow the model's square-root order.
+    only: at #E = r, a walk of ``canonicalize``'s rule w < w ^ full_mask
+    (leave out the last point).  Bundles follow the model's root order.
     """
     out: list[RamifiedThetaChar] = []
     for k in range(spec.r % 2, spec.r + 1, 2):

@@ -97,6 +97,24 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "b,rho,message",
+    [
+        ("1", "1", "cover class must live in GF(2)^(2b)"),
+        ("1", "", "cover class must live in GF(2)^(2b)"),
+        ("1", "0100", "cover class must live in GF(2)^(2b)"),
+        ("1", "2", "cover class must live in GF(2)^(2b)"),
+        ("3", "01x100", "not a bitstring: '01x100'"),
+    ],
+)
+def test_rho_of_the_wrong_length_has_one_message(capsys, b, rho, message):
+    # the length is checked against 2b before the characters are read
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--case", "etale", "--b", b, "--rho", rho])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv,expected",
     [
         ("verify --suite identities --max-r 48", 2),

@@ -1,9 +1,12 @@
+import dataclasses
 import functools
+import inspect
 import random
 
 import pytest
 
 from thetanulls.picard import (
+    BaseCurveModel,
     EllipticModel,
     GenericModel,
     LineBundleClass,
@@ -98,7 +101,7 @@ def test_unreduced_elliptic_torsion_reads_as_its_residue():
         # as a branch point it would square-match a cover class at (0, 0)
         origin = LineBundleClass("elliptic", 1, (0, 0))
         with pytest.raises(ModelError, match="reduced coordinates"):
-            RamifiedCoverSpec(m, 1, (LineBundleClass("elliptic", 1, t), origin), origin)
+            RamifiedCoverSpec(m, (LineBundleClass("elliptic", 1, t), origin), origin)
     assert m.h0(LineBundleClass("elliptic", 0, (246, 0))) == 0
     roots = m.sqrt_classes(LineBundleClass("elliptic", 2, (244, -2)))
     assert [r.torsion for r in roots] == [(2, 119), (122, 119), (2, 239), (122, 239)]
@@ -167,6 +170,19 @@ def test_sqrt_count_and_squares(model, cls):
 def test_sqrt_count_of_trivial_is_two_torsion_size():
     for model in (RationalModel(), EllipticModel(240), GenericModel(3)):
         assert len(model.sqrt_classes(model.trivial())) == 1 << (2 * model.b)
+
+
+def test_base_genus_is_read_off_the_moduli():
+    assert [f.name for f in dataclasses.fields(BaseCurveModel)] == ["kind", "moduli"]
+    assert list(inspect.signature(BaseCurveModel).parameters) == ["kind", "moduli"]
+    for model, b in ((RationalModel(), 0), (EllipticModel(240), 1), (GenericModel(3), 3)):
+        assert model.b == b == len(model.moduli) // 2
+        assert model == BaseCurveModel(model.kind, model.moduli)
+        assert len(model.sqrt_classes(model.canonical_class())) == 1 << (2 * b)
+    # an elliptic kind with four moduli is a genus-2 model, not a genus-1 one
+    assert BaseCurveModel("elliptic", (240,) * 4).b == 2
+    with pytest.raises(ModelError, match="2b torsion moduli, got 3"):
+        BaseCurveModel("generic", (2, 2, 2))
 
 
 def test_elliptic_modulus_must_be_multiple_of_four():

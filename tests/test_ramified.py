@@ -32,41 +32,44 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         RamifiedCoverSpec.rational(0)
     m = EllipticModel(240)
+    for points in ((), _points((0, 0)), _points((0, 0), (2, 0), (4, 0))):  # r is read off the points
+        with pytest.raises(ValueError, match=f"nonzero even number of branch points, got {len(points)}"):
+            RamifiedCoverSpec(m, points, LineBundleClass("elliptic", 1, (2, 0)))
     pts = _points((0, 0), (2, 0))
     with pytest.raises(ValueError):  # wrong cover degree
-        RamifiedCoverSpec(m, 1, pts, LineBundleClass("elliptic", 2, (1, 0)))
+        RamifiedCoverSpec(m, pts, LineBundleClass("elliptic", 2, (1, 0)))
     with pytest.raises(ModelError):  # cover squared is not the branch class
-        RamifiedCoverSpec(m, 1, pts, LineBundleClass("elliptic", 1, (0, 0)))
+        RamifiedCoverSpec(m, pts, LineBundleClass("elliptic", 1, (0, 0)))
     with pytest.raises(ModelError, match=r"branch point \(1, 0\) lies outside the even sublattice"):
-        RamifiedCoverSpec(m, 1, _points((1, 0), (3, 0)), LineBundleClass("elliptic", 1, (2, 0)))
+        RamifiedCoverSpec(m, _points((1, 0), (3, 0)), LineBundleClass("elliptic", 1, (2, 0)))
     with pytest.raises(ValueError, match="degree 1"):  # a branch point of degree 2
-        RamifiedCoverSpec(m, 1, _points((0, 0), (2, 0), degree=2), LineBundleClass("elliptic", 1, (2, 0)))
+        RamifiedCoverSpec(m, _points((0, 0), (2, 0), degree=2), LineBundleClass("elliptic", 1, (2, 0)))
     with pytest.raises(ValueError, match="is not a class of the 'elliptic' model"):  # wrong kind
-        RamifiedCoverSpec(m, 1, (LineBundleClass("rational", 1),) * 2, LineBundleClass("elliptic", 1, (0, 0)))
+        RamifiedCoverSpec(m, (LineBundleClass("rational", 1),) * 2, LineBundleClass("elliptic", 1, (0, 0)))
     # a wrong torsion length is refused by the model's shape check in the square check
     with pytest.raises(ValueError, match=r"torsion=\(2,\)\) is not a class of the 'elliptic' model"):
-        RamifiedCoverSpec(m, 1, _points((2,), (0, 0)), LineBundleClass("elliptic", 1, (2, 0)))
+        RamifiedCoverSpec(m, _points((2,), (0, 0)), LineBundleClass("elliptic", 1, (2, 0)))
     generic = GenericModel(2)
     short, point = LineBundleClass("generic", 1, (0, 0, 0)), LineBundleClass("generic", 1, generic.trivial().torsion)
     with pytest.raises(ValueError, match=r"torsion=\(0, 0, 0\)\) is not a class of the 'generic' model"):
-        RamifiedCoverSpec(generic, 1, (short, point), point)
+        RamifiedCoverSpec(generic, (short, point), point)
     # with an odd coordinate, the spec's even-sublattice rule comes first
     with pytest.raises(ModelError, match=r"branch point \(1,\) lies outside the even sublattice"):
-        RamifiedCoverSpec(m, 1, _points((1,), (0, 0)), LineBundleClass("elliptic", 1, (2, 0)))
+        RamifiedCoverSpec(m, _points((1,), (0, 0)), LineBundleClass("elliptic", 1, (2, 0)))
 
 
 def test_unreduced_cover_class_refused():
     m = EllipticModel(240)
     pts = _points((0, 0), (4, 0))
-    spec = RamifiedCoverSpec(m, 1, pts, LineBundleClass("elliptic", 1, (2, 0)))
+    spec = RamifiedCoverSpec(m, pts, LineBundleClass("elliptic", 1, (2, 0)))
     assert spec.cover_class.to_json()["point"] == [2, 0]
     for torsion in ((242, 0), (-238, 0), (2, 240)):
         with pytest.raises(ModelError, match="reduced coordinates"):
-            RamifiedCoverSpec(m, 1, pts, LineBundleClass("elliptic", 1, torsion))
+            RamifiedCoverSpec(m, pts, LineBundleClass("elliptic", 1, torsion))
     # a branch point follows the cover class's rule: (244, 0) is not read as (4, 0)
     for torsion in ((244, 0), (-236, 0), (4, 240)):
         with pytest.raises(ModelError, match=r"branch point \(.*\) must have reduced coordinates"):
-            RamifiedCoverSpec(m, 1, _points((0, 0), torsion), LineBundleClass("elliptic", 1, (2, 0)))
+            RamifiedCoverSpec(m, _points((0, 0), torsion), LineBundleClass("elliptic", 1, (2, 0)))
 
 
 def test_enumeration_sizes():
