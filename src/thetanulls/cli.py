@@ -4,7 +4,7 @@ Output is a JSON report on stdout (or a human-readable rendering with
 --pretty); identical invocations produce byte-identical output, so
 timing goes to stderr.  Exit codes: 0 success, 1 check failure, 2 usage
 error, 3 model error.  In-process ``main`` calls share one parser, built
-on the first call; a shell invocation builds it once, as before.
+on the first call, and read each table function's signature once.
 """
 
 from __future__ import annotations
@@ -68,11 +68,17 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parameters(func):
+    """``func``'s parameters, read once per function object, so a replaced table entry is read anew."""
+    return inspect.signature(func).parameters
+
+
 def _flag_kwargs(func, args, flags: tuple[str, ...], name: str) -> dict:
     """The flags that ``func``'s signature names, each at its value or, if
     unset, at the function's default; a set flag it does not name, or an
     unset one it has no default for, is a usage error."""
-    params = inspect.signature(func).parameters
+    params = _parameters(func)
     unused = [f"--{k.replace('_', '-')}" for k in flags if getattr(args, k) is not None and k not in params]
     if unused:
         raise ValueError(f"{name} takes no {' '.join(unused)}")

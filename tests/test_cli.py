@@ -292,6 +292,24 @@ def test_unwritable_json_out_refused_before_the_suite_runs(monkeypatch, capsys):
     assert "--json-out" in capsys.readouterr().err
 
 
+def test_a_replaced_table_function_is_read_for_its_own_flags(monkeypatch, capsys):
+    # signatures are read once per function object, not per name: after the
+    # original suite ran, its replacement's signature still decides the flags
+    assert main(["verify", "--suite", "counts", "--max-b", "0", "--max-r", "1"]) == 0
+    capsys.readouterr()
+
+    def fake_counts(max_r=6, seed=0):
+        return [check("fake", 0, 0)]
+
+    monkeypatch.setitem(verify.SUITES, "counts", fake_counts)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "counts", "--max-b", "0"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith("error: verify counts takes no --max-b\n")
+    assert main(["verify", "--suite", "counts", "--max-r", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_model_error_exits_3(capsys):
     assert main(["construct", "bielliptic-g6", "--N", "238"]) == 3
     capsys.readouterr()
@@ -408,6 +426,26 @@ def test_parser_is_built_once_per_process_not_at_import():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 1 1"
+
+
+def test_signatures_are_read_once_per_function_and_process():
+    # two calls of each count case read each function's signature once
+    code = textwrap.dedent("""
+        import collections, inspect
+        import thetanulls.cli
+        reads = collections.Counter()
+        signature = inspect.signature
+        def counting(obj, *args, **kwargs):
+            reads[obj.__name__] += 1
+            return signature(obj, *args, **kwargs)
+        inspect.signature = counting
+        for argv in (["count", "--case", "etale", "--b", "2"], ["count", "--case", "ramified", "--b", "1", "--r", "2"]) * 2:
+            assert thetanulls.cli.main(argv) == 0
+        print(sorted(reads.items()))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[('_etale_counts', 1), ('_ramified_counts', 1)]"
 
 
 def test_no_state_crosses_calls_through_the_shared_parser(tmp_path, capsys):
