@@ -185,4 +185,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Console entry: ``main``, then a flush of stdout, so a closed pipe exits 2 with one
+    error line; stdout then goes to devnull, where the exit flush drops the unsent report."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        build_parser().error(f"cannot write stdout: {exc}")
+    sys.exit(code)

@@ -175,7 +175,7 @@ def count_vanishing_generic_bielliptic(g: int, N: int = DEFAULT_MODULUS, seed: i
     if g < 3:
         raise ValueError("a bielliptic cover of an elliptic base needs genus >= 3")
     r = g - 1
-    refuse_over_budget(g - 1, f"genus {g}")
+    refuse_over_budget(2 * (g - 1), f"genus {g}")
     spec = sample_bielliptic_spec(r, N=N, seed=seed)
     vanishing = vanishing_theta_chars(spec)
     extras = [tc for tc in vanishing if tc.subset_size == r]
@@ -201,7 +201,7 @@ def hyperelliptic_report(g: int) -> dict:
     if g < 2:
         raise ValueError("hyperelliptic curves start at genus 2")
     r = g + 1
-    refuse_over_budget(g, f"genus {g}")
+    refuse_over_budget(2 * g, f"genus {g}")
     spec = RamifiedCoverSpec.rational(r)
     chars = enumerate_theta_chars(spec)
     parities = [parity(spec, tc) for tc in chars]

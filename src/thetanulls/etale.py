@@ -32,15 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .gf2 import MAX_DIM, swap_pairs
-from .quadforms import QuadraticForm, _pair_parity, affine_difference, value_table
-
-# Largest base genus whose forms are counted exhaustively on request.  The
-# count builds three 2^(2b)-bit value tables: 2.4 ms at b = 11 (4 ms with
-# the carries cold), 12 ms and 32 MB peak RSS at b = 12 (Python 3.11,
-# 2-vCPU host), four times the memory per genus.  The bound is kept at 11,
-# where a word-by-word count set it, so that the accepted inputs stay as
-# they were.
-MAX_ENUMERATION_B = 11
+from .quadforms import VALUE_TABLE_MAX_DIM, QuadraticForm, _pair_parity, affine_difference, value_table
 
 
 @dataclass(frozen=True)
@@ -134,7 +126,7 @@ def vanishing_thetanulls(spec: EtaleCoverSpec) -> list[QuadraticForm]:
 def count_vanishing_enumerated(spec: EtaleCoverSpec) -> int:
     """Size of ``vanishing_thetanulls(spec)``, counted over all 2^(2b)
     basis-value words w as the popcount of three packed tables with bit w
-    for each word; refused past ``MAX_ENUMERATION_B``.
+    for each word; refused past b = ``VALUE_TABLE_MAX_DIM // 2``, the tables' bound.
 
     The zero form's value table has bit w = ``_pair_parity(w)``, the Arf
     invariant of the word w.  XOR-ed onto the table of the form with basis
@@ -142,8 +134,8 @@ def count_vanishing_enumerated(spec: EtaleCoverSpec) -> int:
     the cover's cross term; with u the top bit of ``swap_pairs(cover)``,
     the bit that ``_canonical_words`` requires clear.
     """
-    if spec.b > MAX_ENUMERATION_B:
-        raise ValueError(f"enumerating forms runs up to base genus {MAX_ENUMERATION_B}, got {spec.b}")
+    if 2 * spec.b > VALUE_TABLE_MAX_DIM:
+        raise ValueError(f"enumerating forms runs up to base genus {VALUE_TABLE_MAX_DIM // 2}, got {spec.b}")
     dim = 2 * spec.b
     rho = spec.cover_class
     ones = (1 << (1 << dim)) - 1

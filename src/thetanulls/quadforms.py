@@ -14,9 +14,10 @@ enumerating all forms on the space is enumerating bit words of length 2n.
 The exhaustive value table doubles a packed word once per basis vector;
 the two carries of each doubling step are built once per step and cached,
 at most 24 entries: about 256 KB once a dimension-20 table has been
-built, about 4 MB at dimension 24.  The Arf oracle counts zeros on the
-same recurrence but stops one step short and counts the last step's two
-halves apart, so it never builds the full 2^dim-bit table.
+built, about 4 MB at dimension 24, which an etale --rho count reaches at
+b = 12.  The Arf oracle counts zeros on the same recurrence but stops one
+step short and counts the last step's two halves apart, so it never
+builds the full 2^dim-bit table.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterator
 
 from .gf2 import EVEN_POSITIONS, MAX_DIM, swap_pairs
 
-VALUE_TABLE_MAX_DIM = 24
+VALUE_TABLE_MAX_DIM = 24  # bounds the carry cache, and the etale --rho count at b = 12
 
 
 def _pair_parity(word: int) -> int:

@@ -211,8 +211,10 @@ def vanishing_theta_chars(spec: RamifiedCoverSpec) -> list[RamifiedThetaChar]:
 # --- closed-form counts, exact integer arithmetic throughout ---
 
 
-# the most characteristics an enumerating path builds; larger inputs are refused
-MAX_ENUMERATED_CHARS = 1 << 18
+# log2 of the most work a brute-force route may do; at the budget, in a fresh process
+# (Python 3.11, shared 2-vCPU host), hyperelliptic --g 9 takes 3.1 s and 72 MB peak
+# RSS, verify counts --max-r 7 2.1 s and 103 MB, verify syzygetic --max-b 5 2.2 s and 16 MB
+WORK_BUDGET_LOG2 = 18
 
 # the largest genus a count reports: it limits work before it starts, not exactness;
 # the closed forms take milliseconds far beyond it, and a report first fails near
@@ -220,12 +222,12 @@ MAX_ENUMERATED_CHARS = 1 << 18
 MAX_GENUS = 46
 
 
-def refuse_over_budget(k: int, what: str) -> None:
-    """Refuse ``what``, which would build 4^k characteristics, when that is
-    over ``MAX_ENUMERATED_CHARS``; called before any work starts, it compares
-    exponents of 2, so it never builds the count it bounds."""
-    if 2 * k > MAX_ENUMERATED_CHARS.bit_length() - 1:
-        raise ValueError(f"{what} would enumerate more than {MAX_ENUMERATED_CHARS} characteristics")
+def refuse_over_budget(log2_work: int, what: str, unit: str = "characteristics") -> None:
+    """Refuse ``what``, whose work is at least 2^log2_work ``unit``, when that
+    exponent is over ``WORK_BUDGET_LOG2``; a caller states the floor of log2 of
+    its work from its flags, so the count it bounds is never built."""
+    if log2_work > WORK_BUDGET_LOG2:
+        raise ValueError(f"{what} would enumerate 2^{log2_work} or more {unit}, over the budget of 2^{WORK_BUDGET_LOG2}")
 
 
 def closed_form_counts(b: int, r: int) -> dict:

@@ -16,9 +16,6 @@ from .report import check
 
 T_SIZE_MAX_B = 8  # vanishing-set sizes are counted up to here, past --max-b
 CLOSURE_MAX_B = 4  # base genus up to which the cubic closure check runs
-# largest --max-b of the syzygetic suite: it checks C(|T|, 3) triples,
-# 280,840 at b = 5 and 20.2 M at b = 6
-SYZYGY_MAX_B = 5
 ORACLE_SAMPLES, ORACLE_MAX_DIM = 10000, 20  # random forms the oracle checks
 
 
@@ -48,7 +45,7 @@ def counts_suite(max_b: int = 3, max_r: int = 6, seed: int = 0) -> list[dict]:
     the closed forms, for every base genus and branch half-count in range.
     The largest cell, at (max_b, max_r), is held to the enumeration budget
     before any cell starts."""
-    ramified.refuse_over_budget(max_b + max_r - 1, f"--max-b {max_b} --max-r {max_r}")
+    ramified.refuse_over_budget(2 * (max_b + max_r - 1), f"--max-b {max_b} --max-r {max_r}")
     ramified.closed_form_counts(max_b, max_r)  # refuses max_b < 0 and max_r < 1
     return [c for b in range(max_b + 1) for r in range(1, max_r + 1) for c in _counts_cell(b, r, seed)]
 
@@ -80,11 +77,9 @@ def _etale_cell(b: int, max_count_b: int) -> list[dict]:
 
 
 def etale_suite(max_b: int = 6) -> list[dict]:
-    """Unramified-case counts against the closed forms; vanishing-set sizes
-    are cheap and run to a higher genus than the full enumerations.  The
-    enumeration at ``max_b`` builds 2^(2 max_b) characteristics, so
-    ``max_b`` is refused past the enumeration budget before any cell runs."""
-    ramified.refuse_over_budget(max_b, f"--max-b {max_b}")
+    """Unramified-case counts against the closed forms; vanishing-set sizes are cheap
+    and run past the full enumerations, whose 2^(2 max_b) are held to the budget first."""
+    ramified.refuse_over_budget(2 * max_b, f"--max-b {max_b}")
     etale.closed_form_counts(max_b)  # refuses max_b < 1
     return [c for b in range(1, max(max_b, T_SIZE_MAX_B) + 1) for c in _etale_cell(b, max_b)]
 
@@ -92,9 +87,9 @@ def etale_suite(max_b: int = 6) -> list[dict]:
 def syzygetic_suite(max_b: int = 5) -> list[dict]:
     """Every triple from the vanishing set is even; the set lies in the
     all-even affine subspace of dimension g - 1, which is closed under
-    triple products."""
-    if max_b > SYZYGY_MAX_B:
-        raise ValueError(f"--max-b {max_b} is over {SYZYGY_MAX_B}, the most whose triples are checked")
+    triple products.  The budget is stated for the largest cell's C(|T|, 3)
+    triples: their floor of log2 from max_b = 5 on, and at most 2 over below."""
+    ramified.refuse_over_budget(3 * (2 * max_b - 3) - 3, f"--max-b {max_b}", "triples")
     checks = []
     for b in range(2, max_b + 1):
         spec = etale.EtaleCoverSpec.default(b)

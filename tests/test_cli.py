@@ -1,4 +1,5 @@
 import argparse
+import errno
 import inspect
 import json
 import os
@@ -8,11 +9,12 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from thetanulls import ramified, verify
+from thetanulls import constructions, etale, ramified, verify
 from thetanulls.cli import COMMANDS, build_parser, main
 from thetanulls.report import check
 
@@ -46,16 +48,17 @@ def test_count_etale_values(capsys):
 
 
 def test_count_etale_rho_at_the_enumeration_bound(capsys):
-    # the largest accepted --rho is an exhaustive count, and one genus more is refused
+    # the largest accepted --rho is an exhaustive count over the value tables'
+    # largest dimension, and one genus more is refused
     rng = random.Random(11)
-    rho = "".join(rng.choice("01") for _ in range(21)) + "1"
-    code, report = run_json(capsys, "count", "--case", "etale", "--b", "11", "--rho", rho)
+    rho = "".join(rng.choice("01") for _ in range(23)) + "1"
+    code, report = run_json(capsys, "count", "--case", "etale", "--b", "12", "--rho", rho)
     assert code == 0
-    assert report["results"]["T_size_enumerated"] == report["results"]["T_size"] == "523776"
+    assert report["results"]["T_size_enumerated"] == report["results"]["T_size"] == "2096128"
     with pytest.raises(SystemExit) as err:
-        main(["count", "--case", "etale", "--b", "12", "--rho", rho + "01"])
+        main(["count", "--case", "etale", "--b", "13", "--rho", rho + "01"])
     assert err.value.code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith("error: enumerating forms runs up to base genus 12, got 13\n")
 
 
 def test_count_genus2_edge(capsys):
@@ -153,7 +156,7 @@ def test_rho_of_the_wrong_length_has_one_message(capsys, b, rho, message):
         ("count --case etale --b 2 --rho 0000", 2),
         ("count --case etale --b 2 --rho 01", 2),
         ("count --case etale --b 2 --rho 01000000", 2),
-        ("count --case etale --b 12 --rho 1" + "0" * 23, 2),
+        ("count --case etale --b 13 --rho 1" + "0" * 25, 2),
         ("construct bielliptic-g6 --N 6", 3),
         ("construct bielliptic-generic --g 3 --N 6", 3),
     ],
@@ -481,15 +484,16 @@ def test_cli_import_loads_no_process_pool():
     assert {"concurrent", "multiprocessing"}.isdisjoint(proc.stdout.split())
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "construct hyperelliptic --g 10000000",
-        "construct bielliptic-generic --g 10000000",
-        "verify --suite counts --max-r 10000000",
-        "verify --suite etale --max-b 10000000",
-    ],
-)
+OVER_BUDGET = {
+    "construct hyperelliptic --g 10000000": "genus 10000000 would enumerate 2^20000000 or more characteristics",
+    "construct bielliptic-generic --g 10000000": "genus 10000000 would enumerate 2^19999998 or more characteristics",
+    "verify --suite counts --max-r 10000000": "--max-b 3 --max-r 10000000 would enumerate 2^20000004 or more characteristics",
+    "verify --suite etale --max-b 10000000": "--max-b 10000000 would enumerate 2^20000000 or more characteristics",
+    "verify --suite syzygetic --max-b 10000000": "--max-b 10000000 would enumerate 2^59999988 or more triples",
+}
+
+
+@pytest.mark.parametrize("argv", OVER_BUDGET)
 def test_over_budget_refusal_builds_nothing_it_bounds(capsys, argv):
     # 4^k characteristics at k = 10^7 is a 2.5 MB integer; the refusal compares exponents
     tracemalloc.start()
@@ -500,5 +504,66 @@ def test_over_budget_refusal_builds_nothing_it_bounds(capsys, argv):
     finally:
         tracemalloc.stop()
     assert err.value.code == 2
-    assert "would enumerate more than" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"error: {OVER_BUDGET[argv]}, over the budget of 2^18\n")
     assert peak < 1_000_000
+
+
+class _Stated(Exception):
+    pass
+
+
+def _stated_exponent(monkeypatch, route, *args) -> int:
+    """The exponent that ``route(*args)`` states to the budget, before any work."""
+
+    def stated(log2_work, *rest):
+        raise _Stated(log2_work)
+
+    monkeypatch.setattr(ramified, "refuse_over_budget", stated)
+    monkeypatch.setattr(constructions, "refuse_over_budget", stated)
+    with pytest.raises(_Stated) as err:
+        route(*args)
+    return err.value.args[0]
+
+
+def test_each_route_states_the_floor_of_log2_of_its_work(monkeypatch):
+    def floor_log2(work: int) -> int:
+        return work.bit_length() - 1
+
+    for g in range(2, 60):
+        assert _stated_exponent(monkeypatch, constructions.hyperelliptic_report, g) == floor_log2(4**g)
+    for g in range(3, 60):
+        assert _stated_exponent(monkeypatch, constructions.count_vanishing_generic_bielliptic, g) == floor_log2(4 ** (g - 1))
+    for b in range(0, 20):
+        for r in range(1, 20):
+            assert _stated_exponent(monkeypatch, verify.counts_suite, b, r) == floor_log2(4 ** (b + r - 1))
+    for b in range(1, 60):
+        assert _stated_exponent(monkeypatch, verify.etale_suite, b) == floor_log2(4**b)
+    # the syzygy route checks C(|T|, 3) triples; below b = 5 it may overstate, inside the budget
+    for b in range(2, 41):
+        exact = floor_log2(comb(etale.closed_form_counts(b)["T_size"], 3))
+        stated = _stated_exponent(monkeypatch, verify.syzygetic_suite, b)
+        assert stated == exact if b >= 5 else exact <= stated <= ramified.WORK_BUDGET_LOG2
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", ["count --case etale --b 3", "construct hyperelliptic --g 5"])
+def test_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
+    # the reading end is closed before the child starts, so sending the report fails:
+    # in main's write when stdout is unbuffered or the report is over 8 KB, else at the flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetanulls", *argv.split()],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**_child_env(), "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert [line for line in proc.stderr.splitlines() if "error" in line.lower()] == [
+        f"thetanulls: error: cannot write stdout: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}"
+    ]
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -16,7 +16,7 @@ from thetanulls.etale import (
     triple_product,
     vanishing_thetanulls,
 )
-from thetanulls.quadforms import QuadraticForm, all_forms
+from thetanulls.quadforms import QuadraticForm, _carries, all_forms
 
 
 def test_spec_validation():
@@ -247,7 +247,7 @@ def test_word_filters_match_the_object_route():
         assert count_vanishing_enumerated(spec) == len(vanishing)
 
 
-@pytest.mark.parametrize("b", range(6, 12))
+@pytest.mark.parametrize("b", range(6, 13))
 def test_table_count_matches_closed_form_on_edge_covers(b):
     # e_1, the top coordinate, all ones and seeded words: the canonical
     # rule's top bit of swap_pairs(cover) at both ends, and both values of
@@ -258,6 +258,14 @@ def test_table_count_matches_closed_form_on_edge_covers(b):
     expected = closed_form_counts(b)["T_size"]
     for bits in words:
         assert count_vanishing_enumerated(EtaleCoverSpec(b, bits)) == expected
+
+
+def test_table_count_is_refused_past_the_value_table_bound_before_any_carry():
+    # b = 12 fills VALUE_TABLE_MAX_DIM = 24; one genus more is refused up front
+    _carries.cache_clear()
+    with pytest.raises(ValueError, match="runs up to base genus 12, got 13"):
+        count_vanishing_enumerated(EtaleCoverSpec(13, 1))
+    assert _carries.cache_info().currsize == 0
 
 
 def test_table_count_matches_the_form_list_at_b6():
