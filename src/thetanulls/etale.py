@@ -23,7 +23,7 @@ and filtered as basis-value words, and built only for the words a caller
 receives.
 The exhaustive count of the vanishing set tests every basis-value word
 at once: each of its three predicates is a packed table over the words,
-read off ``quadforms.value_table``, and the count is a popcount.
+read off ``quadforms.value_table`` of a word; the count is a popcount.
 """
 
 from __future__ import annotations
@@ -128,23 +128,24 @@ def count_vanishing_enumerated(spec: EtaleCoverSpec) -> int:
     basis-value words w as the popcount of three packed tables with bit w
     for each word; refused past b = ``VALUE_TABLE_MAX_DIM // 2``, the tables' bound.
 
-    The zero form's value table has bit w = ``_pair_parity(w)``, the Arf
-    invariant of the word w.  XOR-ed onto the table of the form with basis
-    values u it leaves bit w = parity(w & u): with u = cover, q(cover) less
-    the cover's cross term; with u the top bit of ``swap_pairs(cover)``,
-    the bit that ``_canonical_words`` requires clear.
+    The tables are ``value_table`` of three words; no form is built.  The
+    zero word's table has bit w = ``_pair_parity(w)``, the Arf invariant of
+    the word w; XOR-ed onto the table of a word u it leaves bit w =
+    parity(w & u): with u = cover, q(cover) less the cover's cross term;
+    with u the top bit of ``swap_pairs(cover)``, the bit that
+    ``_canonical_words`` requires clear.
     """
-    if 2 * spec.b > VALUE_TABLE_MAX_DIM:
-        raise ValueError(f"enumerating forms runs up to base genus {VALUE_TABLE_MAX_DIM // 2}, got {spec.b}")
     dim = 2 * spec.b
+    if dim > VALUE_TABLE_MAX_DIM:
+        raise ValueError(f"enumerating forms runs up to base genus {VALUE_TABLE_MAX_DIM // 2}, got {spec.b}")
     rho = spec.cover_class
     ones = (1 << (1 << dim)) - 1
-    arf = value_table(QuadraticForm(dim, 0))
-    on_cover = value_table(QuadraticForm(dim, rho)) ^ arf
+    arf = value_table(0, dim)
+    on_cover = value_table(rho, dim) ^ arf
     if not _pair_parity(rho):
         on_cover ^= ones
     top = swap_pairs(rho).bit_length() - 1
-    canonical = value_table(QuadraticForm(dim, 1 << top)) ^ arf ^ ones
+    canonical = value_table(1 << top, dim) ^ arf ^ ones
     return (arf & canonical & on_cover).bit_count()
 
 

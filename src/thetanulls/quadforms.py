@@ -11,13 +11,15 @@ A form carries only the dimension 2n of its space; the vectors it is
 evaluated on and translated by are int words below 2^(2n), and
 enumerating all forms on the space is enumerating bit words of length 2n.
 
-The exhaustive value table doubles a packed word once per basis vector;
-the two carries of each doubling step are built once per step and cached,
-at most 24 entries: about 256 KB once a dimension-20 table has been
-built, about 4 MB at dimension 24, which an etale --rho count reaches at
-b = 12.  The Arf oracle counts zeros on the same recurrence but stops one
-step short and counts the last step's two halves apart, so it never
-builds the full 2^dim-bit table.
+The packed value table of a basis-value word, its values on the vectors
+below 2^steps, doubles a packed word once per basis vector; it takes the
+word, not a form, so a caller that needs only tables builds no form.
+The two carries of each doubling step are built once per step and cached,
+at most 24 entries: about 256 KB once a 20-step table has been built,
+about 4 MB at 24 steps, which an etale --rho count reaches at b = 12.
+The Arf oracle counts zeros on the same recurrence but stops one step
+short and counts the last step's two halves apart, so it never builds
+the full 2^dim-bit table.
 """
 
 from __future__ import annotations
@@ -98,32 +100,24 @@ def _carries(j: int) -> tuple[int, int]:
     return partner, partner ^ ((1 << size) - 1)
 
 
-def _doubled(q: QuadraticForm, steps: int) -> int:
-    """Values of q on the vectors below 2^steps, packed as in ``value_table``:
-    the first ``steps`` doubling steps.  Refused above ``VALUE_TABLE_MAX_DIM``
-    before any carry is built or looked up."""
-    if q.dim > VALUE_TABLE_MAX_DIM:
-        raise ValueError(f"value table supported up to dimension {VALUE_TABLE_MAX_DIM}")
-    bv = q.basis_values
-    table = 0
-    for j in range(steps):
-        # table and carry both lie below 2^(2^j), so no mask is needed
-        table |= (table ^ _carries(j)[(bv >> j) & 1]) << (1 << j)
-    return table
-
-
-def value_table(q: QuadraticForm) -> int:
-    """Values of q over all vectors, packed into one word (bit v = q(v)).
+def value_table(basis_values: int, steps: int) -> int:
+    """Values over the vectors v < 2^steps of the form with these basis
+    values, packed into one word (bit v = q(v)); bits of ``basis_values``
+    at and above ``steps`` are not read.
 
     Built by doubling along the basis: extending by e_j adds
     q(e_j) + e(v, e_j) to the previous block, and e(v, e_j) is the partner
     bit of v, which for the interleaved order is constant (j even) or a
-    half-block pattern (j odd).  The two possible carries of each step are
-    built once per step index and cached; the refusal above
-    ``VALUE_TABLE_MAX_DIM`` bounds the cache at 24 entries, about 256 KB
-    once a dimension-20 table has been built and about 4 MB at dimension 24.
+    half-block pattern (j odd).  ``steps`` above ``VALUE_TABLE_MAX_DIM``
+    is refused before any carry is built or looked up.
     """
-    return _doubled(q, q.dim)
+    if steps > VALUE_TABLE_MAX_DIM:
+        raise ValueError(f"value table supported up to dimension {VALUE_TABLE_MAX_DIM}")
+    table = 0
+    for j in range(steps):
+        # table and carry both lie below 2^(2^j), so no mask is needed
+        table |= (table ^ _carries(j)[(basis_values >> j) & 1]) << (1 << j)
+    return table
 
 
 def zero_count(q: QuadraticForm) -> int:
@@ -135,7 +129,7 @@ def zero_count(q: QuadraticForm) -> int:
     if q.dim == 0:
         return 1
     top = q.dim - 1
-    head = _doubled(q, top)
+    head = value_table(q.basis_values, top)
     tail = head ^ _carries(top)[(q.basis_values >> top) & 1]
     return (1 << q.dim) - head.bit_count() - tail.bit_count()
 

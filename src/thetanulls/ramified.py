@@ -54,19 +54,14 @@ class RamifiedCoverSpec:
             raise ValueError(f"need a nonzero even number of branch points, got {len(self.branch_points)}")
         object.__setattr__(self, "r", len(self.branch_points) // 2)
         object.__setattr__(self, "b", self.model.b)
-        if self.cover_class.degree != self.r:
-            raise ValueError("the cover class must have degree r")
-        for p in self.branch_points:
-            if p.degree != 1:
-                raise ValueError(f"branch points must have degree 1, got {p.degree}")
-            if any(t % 2 for t in p.torsion):
-                raise ModelError(f"branch point {p.torsion} lies outside the even sublattice")
-            if any(not 0 <= t < m for t, m in zip(p.torsion, self.model.moduli)):
-                raise ModelError(f"branch point {p.torsion} must have reduced coordinates")
-        if any(t % 2 for t in self.cover_class.torsion):
-            raise ModelError("the cover class must have even coordinates")
-        if any(not 0 <= t < m for t, m in zip(self.cover_class.torsion, self.model.moduli)):
-            raise ModelError("the cover class must have reduced coordinates")
+        classes = [("branch point", p, 1) for p in self.branch_points] + [("cover class", self.cover_class, self.r)]
+        for name, cls, degree in classes:
+            if cls.degree != degree:
+                raise ValueError(f"{name} {cls.torsion} must have degree {degree}, got {cls.degree}")
+            if any(t % 2 for t in cls.torsion):
+                raise ModelError(f"{name} {cls.torsion} lies outside the even sublattice")
+            if any(not 0 <= t < m for t, m in zip(cls.torsion, self.model.moduli)):
+                raise ModelError(f"{name} {cls.torsion} must have reduced coordinates")
         square = self.model.tensor(self.cover_class, self.cover_class)
         if square != self.divisor_class(self.full_mask):
             raise ModelError("the cover class squared must be the branch divisor class")

@@ -87,9 +87,11 @@ def etale_suite(max_b: int = 6) -> list[dict]:
 def syzygetic_suite(max_b: int = 5) -> list[dict]:
     """Every triple from the vanishing set is even; the set lies in the
     all-even affine subspace of dimension g - 1, which is closed under
-    triple products.  The budget is stated for the largest cell's C(|T|, 3)
-    triples: their floor of log2 from max_b = 5 on, and at most 2 over below."""
-    ramified.refuse_over_budget(3 * (2 * max_b - 3) - 3, f"--max-b {max_b}", "triples")
+    triple products.  The budget states the floor of log2 of the largest
+    cell's work: its C(|T|, 3) triple parities and, up to ``CLOSURE_MAX_B``,
+    the closure check's 2^(6(b-1)) triple products."""
+    log2_work = max(3 * (2 * max_b - 3) - 3, 6 * (min(max_b, CLOSURE_MAX_B) - 1))
+    ramified.refuse_over_budget(log2_work, f"--max-b {max_b}", "triples")
     checks = []
     for b in range(2, max_b + 1):
         spec = etale.EtaleCoverSpec.default(b)

@@ -538,11 +538,19 @@ def test_each_route_states_the_floor_of_log2_of_its_work(monkeypatch):
             assert _stated_exponent(monkeypatch, verify.counts_suite, b, r) == floor_log2(4 ** (b + r - 1))
     for b in range(1, 60):
         assert _stated_exponent(monkeypatch, verify.etale_suite, b) == floor_log2(4**b)
-    # the syzygy route checks C(|T|, 3) triples; below b = 5 it may overstate, inside the budget
+    # a syzygy cell checks C(|T|, 3) triples, and up to CLOSURE_MAX_B also
+    # (2^(2b-2))^3 closure products; the stated exponent bounds every cell's
+    # work, exactly for the largest cell, which from b = 5 on is the last
+    def syzygy_work(b: int) -> int:
+        closure = (1 << (2 * b - 2)) ** 3 if b <= verify.CLOSURE_MAX_B else 0
+        return comb(etale.closed_form_counts(b)["T_size"], 3) + closure
+
     for b in range(2, 41):
-        exact = floor_log2(comb(etale.closed_form_counts(b)["T_size"], 3))
+        cells = [floor_log2(syzygy_work(cell)) for cell in range(2, b + 1)]
         stated = _stated_exponent(monkeypatch, verify.syzygetic_suite, b)
-        assert stated == exact if b >= 5 else exact <= stated <= ramified.WORK_BUDGET_LOG2
+        assert stated == max(cells)
+        if b >= 5:
+            assert stated == cells[-1]
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

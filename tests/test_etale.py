@@ -268,6 +268,25 @@ def test_table_count_is_refused_past_the_value_table_bound_before_any_carry():
     assert _carries.cache_info().currsize == 0
 
 
+def test_table_count_builds_no_form(monkeypatch):
+    built = []
+    init = QuadraticForm.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadraticForm, "__init__", counted_init)
+    QuadraticForm(2, 0)
+    assert len(built) == 1  # the patch sees a build
+    built.clear()
+    rng = random.Random(8)
+    for b in range(2, 9):
+        for bits in (1, 1 << (2 * b - 1), rng.randrange(1, 1 << (2 * b))):
+            assert count_vanishing_enumerated(EtaleCoverSpec(b, bits)) == closed_form_counts(b)["T_size"]
+    assert built == []
+
+
 def test_table_count_matches_the_form_list_at_b6():
     rng = random.Random(6)
     for _ in range(4):

@@ -84,7 +84,7 @@ def test_polarization_exhaustive_dim8():
         return out
 
     for q in all_forms(dim):
-        table = value_table(q)
+        table = value_table(q.basis_values, q.dim)
         for u_bits in range(size):
             qu = (table >> u_bits) & 1
             shifted = xor_permute(table, u_bits)
@@ -96,7 +96,7 @@ def test_value_table_matches_direct_evaluation():
     for n in (1, 2, 3, 4):
         dim = 2 * n
         for q in all_forms(dim):
-            table = value_table(q)
+            table = value_table(q.basis_values, q.dim)
             for v in vectors(dim):
                 assert (table >> v) & 1 == q(v)
 
@@ -118,7 +118,7 @@ def test_value_table_matches_direct_evaluation_large(dim):
     edges = [0, (1 << dim) - 1] + [1 << j for j in range(dim)] + [3 << j for j in range(dim - 1)]
     for bv in words:
         q = QuadraticForm(dim, bv)
-        table = value_table(q)
+        table = value_table(bv, dim)
         for bits in edges + [rng.randrange(1 << dim) for _ in range(256)]:
             assert (table >> bits) & 1 == q(bits)
 
@@ -127,11 +127,11 @@ def test_zero_count_reads_every_value():
     # zero_count never builds the table; it must count what the table holds
     for dim in range(0, 9, 2):
         for q in all_forms(dim):
-            assert zero_count(q) == (1 << dim) - value_table(q).bit_count()
+            assert zero_count(q) == (1 << dim) - value_table(q.basis_values, q.dim).bit_count()
     for dim in range(10, 25, 2):
         for bv in _edge_words(random.Random(dim), dim):
             q = QuadraticForm(dim, bv)
-            assert zero_count(q) == (1 << dim) - value_table(q).bit_count()
+            assert zero_count(q) == (1 << dim) - value_table(q.basis_values, q.dim).bit_count()
 
 
 def test_zero_count_never_builds_the_full_table():
@@ -149,22 +149,37 @@ def test_zero_count_never_builds_the_full_table():
 
 
 def test_value_table_independent_of_call_order():
-    q = QuadraticForm(20, random.Random(20).randrange(1 << 20))
+    word = random.Random(20).randrange(1 << 20)
     _carries.cache_clear()
-    first = value_table(q)
-    smaller = [value_table(QuadraticForm(dim, (1 << dim) - 1)) for dim in range(2, 19, 2)]
-    assert value_table(q) == first
+    first = value_table(word, 20)
+    smaller = [value_table((1 << dim) - 1, dim) for dim in range(2, 19, 2)]
+    assert value_table(word, 20) == first
     _carries.cache_clear()
-    assert [value_table(QuadraticForm(dim, (1 << dim) - 1)) for dim in range(2, 19, 2)] == smaller
-    assert value_table(q) == first
+    assert [value_table((1 << dim) - 1, dim) for dim in range(2, 19, 2)] == smaller
+    assert value_table(word, 20) == first
+
+
+def test_value_table_of_fewer_steps_is_the_low_block():
+    # for s < d the s-step table is the low 2^s bits of the d-step table, and
+    # the bits of the word at and above s are not read
+    rng = random.Random(5)
+    for d in range(13):
+        for word in [0, (1 << d) - 1] + [rng.randrange(1 << d) for _ in range(3)]:
+            full = value_table(word, d)
+            for s in range(d + 1):
+                low = full & ((1 << (1 << s)) - 1)
+                assert value_table(word, s) == low
+                assert value_table(word & ((1 << s) - 1), s) == low
+                assert value_table(word | rng.randrange(1, 1 << 40) << s, s) == low
 
 
 def test_value_table_dimension_cap():
     # the refusal comes before any carry is built or looked up
     before = _carries.cache_info()
-    for refused in (value_table, zero_count):
-        with pytest.raises(ValueError):
-            refused(QuadraticForm(VALUE_TABLE_MAX_DIM + 2, 0))
+    past_the_cap = (lambda: value_table(0, VALUE_TABLE_MAX_DIM + 1), lambda: zero_count(QuadraticForm(VALUE_TABLE_MAX_DIM + 2, 0)))
+    for refused in past_the_cap:
+        with pytest.raises(ValueError, match=f"value table supported up to dimension {VALUE_TABLE_MAX_DIM}"):
+            refused()
         assert _carries.cache_info() == before
     assert arf_by_zero_count(QuadraticForm(VALUE_TABLE_MAX_DIM, 0)) == 0
     assert _carries.cache_info().currsize <= VALUE_TABLE_MAX_DIM

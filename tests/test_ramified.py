@@ -72,6 +72,23 @@ def test_unreduced_cover_class_refused():
             RamifiedCoverSpec(m, _points((0, 0), torsion), LineBundleClass("elliptic", 1, (2, 0)))
 
 
+def test_cover_class_follows_the_branch_point_rule():
+    # one rule for the 2r + 1 classes: degree (1 or r), even and reduced coordinates
+    m = EllipticModel(240)
+    pts = _points((0, 0), (4, 0))
+    for cover, error, message in (
+        (LineBundleClass("elliptic", 1, (1, 0)), ModelError, r"cover class \(1, 0\) lies outside the even sublattice"),
+        (LineBundleClass("elliptic", 1, (2, 3)), ModelError, r"cover class \(2, 3\) lies outside the even sublattice"),
+        (LineBundleClass("elliptic", 1, (242, 0)), ModelError, r"cover class \(242, 0\) must have reduced coordinates"),
+        (LineBundleClass("elliptic", 1, (2, -2)), ModelError, r"cover class \(2, -2\) must have reduced coordinates"),
+        (LineBundleClass("elliptic", 2, (2, 0)), ValueError, r"cover class \(2, 0\) must have degree 1, got 2"),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            RamifiedCoverSpec(m, pts, cover)
+    with pytest.raises(ValueError, match=r"^branch point \(4, 0\) must have degree 1, got 0$"):
+        RamifiedCoverSpec(m, (pts[0], LineBundleClass("elliptic", 0, (4, 0))), LineBundleClass("elliptic", 1, (2, 0)))
+
+
 def test_enumeration_sizes():
     assert len(enumerate_theta_chars(RamifiedCoverSpec.rational(3))) == 16
     assert len(enumerate_theta_chars(sample_bielliptic_spec(5, seed=0))) == 1024
