@@ -104,7 +104,7 @@ def _run(args) -> int:
     params = {selector: choice, **{k: v for k, v in kwargs.items() if v is not None}}
     report = build_report(args.command, params, results, checks)
     text = dumps(report)
-    if args.json_out:
+    if args.json_out is not None:
         try:
             with open(args.json_out, "w") as fh:
                 fh.write(text)
@@ -160,9 +160,9 @@ def main(argv: list[str] | None = None) -> int:
     # open --json-out before the work starts, so a bad path costs nothing; it
     # is held in append mode, only a report to write truncates the file, and
     # a file this probe created is removed again when no report is written
-    created = args.json_out and not os.path.lexists(args.json_out)
+    created = args.json_out is not None and not os.path.lexists(args.json_out)
     try:
-        args.json_file = open(args.json_out, "a") if args.json_out else None
+        args.json_file = open(args.json_out, "a") if args.json_out is not None else None
     except OSError as exc:
         parser.error(f"cannot write --json-out: {exc}")
     started = time.monotonic()

@@ -22,9 +22,10 @@ reproducible from (N, seed).
 
 from __future__ import annotations
 
+import functools
 import random
 
-from .picard import DEFAULT_MODULUS, ELLIPTIC, EllipticModel, LineBundleClass, ModelError
+from .picard import DEFAULT_MODULUS, ELLIPTIC, BaseCurveModel, EllipticModel, LineBundleClass, ModelError
 from .ramified import (
     RamifiedCoverSpec,
     RamifiedThetaChar,
@@ -58,21 +59,24 @@ def build_bielliptic_genus6(N: int = DEFAULT_MODULUS, seed: int = 0) -> Ramified
     model = EllipticModel(N)
     rng = random.Random(seed)
 
-    def draw(degree: int = 1) -> LineBundleClass:
-        return LineBundleClass(ELLIPTIC, degree, model.random_even_point(rng))
-
-    for _ in range(MAX_ATTEMPTS):
-        base, pencil, x1, x2 = draw(), draw(2), draw(), draw()
+    def draw():
+        base, pencil, x1, x2 = (model.random_even_class(rng, degree) for degree in (1, 2, 1, 1))
         x3 = model.tensor(model.tensor(pencil, base), model.inverse(model.tensor(x1, x2)))
-        pairs = [(y, model.tensor(pencil, model.inverse(y))) for y in (draw(), draw(), draw())]
+        pairs = [(y, model.tensor(pencil, model.inverse(y))) for y in (model.random_even_class(rng) for _ in range(3))]
         points = [p for pair in pairs for p in pair] + [x1, x2, x3, base]
-        if len(set(points)) == 10:
-            cover = model.tensor(model.tensor(pencil, pencil), base)
-            return RamifiedCoverSpec(model, tuple(points), cover)
-    raise ModelError(
-        f"could not sample 10 distinct construction points in {MAX_ATTEMPTS} attempts; "
-        "try a larger torsion modulus"
-    )
+        return points, lambda: model.tensor(model.tensor(pencil, pencil), base)
+
+    return _sample_spec(model, 10, "construction points", draw)
+
+
+def _sample_spec(model: BaseCurveModel, n: int, what: str, draw) -> RamifiedCoverSpec:
+    """The spec of the first of ``MAX_ATTEMPTS`` draws with ``n`` distinct points;
+    ``draw()`` returns them and a thunk for the cover class, called on that draw only."""
+    for _ in range(MAX_ATTEMPTS):
+        points, cover = draw()
+        if len(set(points)) == n:
+            return RamifiedCoverSpec(model, tuple(points), cover())
+    raise ModelError(f"could not sample {n} distinct {what} in {MAX_ATTEMPTS} attempts; try a larger torsion modulus")
 
 
 def count_vanishing_genus6(N: int = DEFAULT_MODULUS, seed: int = 0) -> dict:
@@ -138,30 +142,25 @@ def _char_json(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> dict:
 def sample_bielliptic_spec(r: int, N: int = DEFAULT_MODULUS, seed: int = 0) -> RamifiedCoverSpec:
     """Unconstrained bielliptic branch data: 2r distinct even points.
 
-    The coordinate sums are nudged to multiples of 4 (by adding 2 to the
-    last point) so the cover class, half the branch sum, stays in the
-    even sublattice and every square root the enumeration needs exists.
+    The last point is nudged by the degree-0 class (branch sum mod 4), so
+    the cover class rho, the degree-r product of the points' canonical halves
+    (x/2, y/2), squares to the branch divisor, stays in the even sublattice
+    and has every square root the enumeration needs.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     model = EllipticModel(N)
     rng = random.Random(seed)
-    for _ in range(MAX_ATTEMPTS):
-        points = [model.random_even_point(rng) for _ in range(2 * r)]
-        sx = sum(p[0] for p in points)
-        sy = sum(p[1] for p in points)
-        lx, ly = points[-1]
-        points[-1] = ((lx + (sx % 4)) % N, (ly + (sy % 4)) % N)
-        if len(set(points)) != 2 * r:
-            continue
-        sx = sum(p[0] for p in points)
-        sy = sum(p[1] for p in points)
-        cover = LineBundleClass(ELLIPTIC, r, ((sx // 2) % N, (sy // 2) % N))
-        return RamifiedCoverSpec(model, tuple(LineBundleClass(ELLIPTIC, 1, p) for p in points), cover)
-    raise ModelError(
-        f"could not sample {2 * r} distinct branch points in {MAX_ATTEMPTS} attempts; "
-        "try a larger torsion modulus"
-    )
+
+    def draw():
+        points = [model.random_even_class(rng) for _ in range(2 * r)]
+        if len(set(points[:-1])) == 2 * r - 1:  # else no nudge makes the draw distinct
+            nudge = tuple(t % 4 for t in functools.reduce(model.tensor, points).torsion)
+            points[-1] = model.tensor(points[-1], LineBundleClass(ELLIPTIC, 0, nudge))
+        halves = (LineBundleClass(ELLIPTIC, 0, tuple(t // 2 for t in p.torsion)) for p in points)
+        return points, lambda: functools.reduce(model.tensor, halves, LineBundleClass(ELLIPTIC, r, (0, 0)))
+
+    return _sample_spec(model, 2 * r, "branch points", draw)
 
 
 def count_vanishing_generic_bielliptic(g: int, N: int = DEFAULT_MODULUS, seed: int = 0) -> dict:

@@ -87,9 +87,9 @@ class BaseCurveModel:
     def canonical_class(self) -> LineBundleClass:
         return LineBundleClass(self.kind, 2 * self.b - 2, (0,) * len(self.moduli))
 
-    def random_even_point(self, rng) -> tuple[int, ...]:
-        """Torsion coordinates drawn from the even sublattice."""
-        return tuple(2 * rng.randrange(m // 2) for m in self.moduli)
+    def random_even_class(self, rng, degree: int = 1) -> LineBundleClass:
+        """A class of the given degree, its torsion drawn from the even sublattice."""
+        return LineBundleClass(self.kind, degree, tuple([2 * rng.randrange(m // 2) for m in self.moduli]))
 
     def sqrt_classes(self, cls: LineBundleClass) -> tuple[LineBundleClass, ...]:
         """All square roots of a class; there are 2^(2b) of them.

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import random
+import shlex
 import signal
 import subprocess
 import sys
@@ -153,6 +154,7 @@ def test_rho_of_the_wrong_length_has_one_message(capsys, b, rho, message):
         ("construct hyperelliptic --g 3 --seed 1", 2),
         ("construct bielliptic-g6 --g 7", 2),
         ("count --case etale --b 2 --json-out {missing}", 2),
+        ("count --case etale --b 2 --json-out ''", 2),
         ("count --case etale --b 2 --rho 0000", 2),
         ("count --case etale --b 2 --rho 01", 2),
         ("count --case etale --b 2 --rho 01000000", 2),
@@ -163,7 +165,7 @@ def test_rho_of_the_wrong_length_has_one_message(capsys, b, rho, message):
 )
 def test_edge_inputs_keep_exit_code_contract(tmp_path, capsys, argv, expected):
     # any exception other than SystemExit escaping main would be a traceback
-    args = argv.format(missing=tmp_path / "missing" / "x.json").split()
+    args = shlex.split(argv.format(missing=tmp_path / "missing" / "x.json"))
     try:
         code = main(args)
     except SystemExit as exc:

@@ -1,9 +1,11 @@
 import functools
+import random
 
 import pytest
 
 from thetanulls.constructions import (
     FORCED_SUBSET_MASKS,
+    MAX_ATTEMPTS,
     build_bielliptic_genus6,
     count_vanishing_generic_bielliptic,
     count_vanishing_genus6,
@@ -139,9 +141,57 @@ def test_generic_bielliptic_matches_closed_form_for_most_seeds():
 
 
 def test_sampler_rejects_impossible_setup():
-    # a tiny modulus cannot host 10 distinct even points
-    with pytest.raises(ModelError):
-        build_bielliptic_genus6(N=4, seed=0)
+    # a tiny modulus cannot host 10 (or 6) distinct even points; both
+    # samplers refuse through the one redraw loop with the one message
+    for sample, what in (
+        (lambda: build_bielliptic_genus6(N=4, seed=0), "10 distinct construction points"),
+        (lambda: sample_bielliptic_spec(3, N=4, seed=0), "6 distinct branch points"),
+    ):
+        with pytest.raises(ModelError) as exc:
+            sample()
+        assert str(exc.value) == f"could not sample {what} in 1000 attempts; try a larger torsion modulus"
+
+
+def raw_tuple_sampler(r, N, seed):
+    """The generic sampler as first written, on raw (Z/N)^2 tuples: the last
+    point nudged by the coordinate sums mod 4, rho half the nudged sums.
+    Returns (points, rho torsion), or the refusal message."""
+    randrange = random.Random(seed).randrange
+    for _ in range(MAX_ATTEMPTS):
+        points = [(2 * randrange(N // 2), 2 * randrange(N // 2)) for _ in range(2 * r)]
+        sx = sum(p[0] for p in points)
+        sy = sum(p[1] for p in points)
+        lx, ly = points[-1]
+        points[-1] = ((lx + (sx % 4)) % N, (ly + (sy % 4)) % N)
+        if len(set(points)) != 2 * r:
+            continue
+        sx = sum(p[0] for p in points)
+        sy = sum(p[1] for p in points)
+        return points, ((sx // 2) % N, (sy // 2) % N)
+    return f"could not sample {2 * r} distinct branch points in {MAX_ATTEMPTS} attempts; try a larger torsion modulus"
+
+
+def test_sampler_matches_raw_tuple_oracle():
+    # the class-level rule (nudge by the degree-0 class of the sums mod 4,
+    # rho the product of the canonical halves) draws the same specs and
+    # refuses the same inputs as the coordinate-sum rule
+    specs = refusals = 0
+    for N in (8, 12, 24, 240):
+        for r in range(1, 10):
+            for seed in range(10):
+                expected = raw_tuple_sampler(r, N, seed)
+                try:
+                    spec = sample_bielliptic_spec(r, N=N, seed=seed)
+                except ModelError as exc:
+                    assert str(exc) == expected
+                    refusals += 1
+                    continue
+                points, rho = expected
+                assert [p.torsion for p in spec.branch_points] == points
+                assert all(p.degree == 1 for p in spec.branch_points)
+                assert spec.cover_class == LineBundleClass("elliptic", r, rho)
+                specs += 1
+    assert (specs, refusals) == (329, 31)
 
 
 def test_sample_spec_even_cover_class():

@@ -219,3 +219,15 @@ def test_random_group_laws_and_roots():
             assert len(roots) == len(set(roots)) == 1 << (2 * model.b)
             assert x in roots
             assert all(model.tensor(s, s) == square for s in roots)
+
+
+def test_random_even_class_is_a_reduced_even_class_of_the_given_degree():
+    rng = random.Random(3)
+    for model in (RationalModel(), EllipticModel(8), EllipticModel(240), GenericModel(3)):
+        for degree in (-2, 0, 1, 2, 5):
+            for _ in range(20):
+                cls = model.random_even_class(rng, degree)
+                assert (cls.kind, cls.degree, len(cls.torsion)) == (model.kind, degree, len(model.moduli))
+                assert all(t % 2 == 0 and 0 <= t < m for t, m in zip(cls.torsion, model.moduli))
+                assert model.tensor(cls, model.trivial()) == cls  # reduced: equal to its residue
+        assert model.random_even_class(rng).degree == 1
