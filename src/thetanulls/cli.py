@@ -90,19 +90,16 @@ def _flag_kwargs(func, args, flags: tuple[str, ...], name: str) -> dict:
 
 
 def _run(args) -> int:
-    """Run the chosen function on its flags and emit the report; a suite's checks follow their totals."""
+    """Run the chosen function on its flags and emit the report ``build_report`` makes of its results."""
     selector, table, flags = COMMANDS[args.command]
     choice = getattr(args, selector)
     name = f"{args.command} {choice}"
     kwargs = _flag_kwargs(table[choice], args, flags, name)
-    results, checks = table[choice](**kwargs), None
-    if isinstance(results, list):
-        if not results:
-            raise ValueError(f"{name} runs no checks with these bounds")
-        checks = results
-        results = {"checks_total": len(checks), "checks_passed": sum(1 for c in checks if c["pass"])}
+    results = table[choice](**kwargs)
+    if results == []:
+        raise ValueError(f"{name} runs no checks with these bounds")
     params = {selector: choice, **{k: v for k, v in kwargs.items() if v is not None}}
-    report = build_report(args.command, params, results, checks)
+    report = build_report(args.command, params, results)
     text = dumps(report)
     if args.json_out is not None:
         try:
@@ -157,12 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # open --json-out before the work starts, so a bad path costs nothing; it
-    # is held in append mode, only a report to write truncates the file, and
-    # a file this probe created is removed again when no report is written
+    # probe --json-out before the work, so a bad path costs nothing; only a report truncates
+    # the file, and a file the probe created is removed again when no report is written
     created = args.json_out is not None and not os.path.lexists(args.json_out)
     try:
-        args.json_file = open(args.json_out, "a") if args.json_out is not None else None
+        if args.json_out is not None:
+            open(args.json_out, "a").close()
     except OSError as exc:
         parser.error(f"cannot write --json-out: {exc}")
     started = time.monotonic()
@@ -176,8 +173,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
     finally:
-        if args.json_file:
-            args.json_file.close()
         if created and code is None:
             os.remove(args.json_out)
     print(f"elapsed_ms={int(1000 * (time.monotonic() - started))}", file=sys.stderr)

@@ -13,11 +13,11 @@ Two flavours:
   divisor stays at the guaranteed 40 for most seeds.
 
 Both bielliptic samplers return a ``RamifiedCoverSpec`` whose branch
-points are degree-1 classes; the genus-6 report's ``config`` block is
-read off its spec.
+points are degree-1 classes; the genus-6 report's ``config`` block is read
+off its spec, and each class a report names is ``{kind, degree, point}``.
 
 Sampling uses a caller-seeded generator only, so every certificate is
-reproducible from (N, seed).
+reproducible from (N, seed); a seed is a non-negative integer.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import random
 
-from .picard import DEFAULT_MODULUS, ELLIPTIC, BaseCurveModel, EllipticModel, LineBundleClass, ModelError
+from .picard import ELLIPTIC, BaseCurveModel, EllipticModel, LineBundleClass, ModelError
 from .ramified import (
     RamifiedCoverSpec,
     RamifiedThetaChar,
@@ -40,10 +40,18 @@ from .ramified import (
 )
 
 MAX_ATTEMPTS = 1000  # draws a sampler makes before it gives up
+DEFAULT_MODULUS = 240  # the elliptic torsion modulus N when a caller names none
 LIST_CHARACTERS_MAX_G = 5  # hyperelliptic reports list characters up to here
 # pair_i + pair_j + base point for (i, j) in (0, 1), (0, 2), (1, 2): the
 # subsets of the genus-6 build's three forced extras
 FORCED_SUBSET_MASKS = tuple((0b11 << 2 * i) | (0b11 << 2 * j) | (1 << 9) for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+def checked_seed(seed: int) -> int:
+    """``seed``, refused when negative: ``random.Random`` seeds with ``abs(seed)``."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def build_bielliptic_genus6(N: int = DEFAULT_MODULUS, seed: int = 0) -> RamifiedCoverSpec:
@@ -57,7 +65,7 @@ def build_bielliptic_genus6(N: int = DEFAULT_MODULUS, seed: int = 0) -> Ramified
     everything.
     """
     model = EllipticModel(N)
-    rng = random.Random(seed)
+    rng = random.Random(checked_seed(seed))
 
     def draw():
         base, pencil, x1, x2 = (model.random_even_class(rng, degree) for degree in (1, 2, 1, 1))
@@ -116,7 +124,7 @@ def count_vanishing_genus6(N: int = DEFAULT_MODULUS, seed: int = 0) -> dict:
             "pencil_point": list(spec.model.tensor(points[0], points[1]).torsion),
             "pair_divisors": [[list(p.torsion) for p in points[i : i + 2]] for i in (0, 2, 4)],
             "triple_divisor": [list(p.torsion) for p in points[6:9]],
-            "cover_class": spec.cover_class.to_json(),
+            "cover_class": _class_json(spec.cover_class),
         },
         "count": len(vanishing),
         "guaranteed_lower_bound": closed_form_counts(spec.b, spec.r)["vanishing_lb"],
@@ -131,9 +139,13 @@ def _mask_indices(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
+def _class_json(cls: LineBundleClass) -> dict:
+    return {"kind": cls.kind, "degree": cls.degree, "point": list(cls.torsion)}
+
+
 def _char_json(spec: RamifiedCoverSpec, tc: RamifiedThetaChar) -> dict:
     return {
-        "bundle": tc.bundle.to_json(),
+        "bundle": _class_json(tc.bundle),
         "subset_indices": _mask_indices(tc.subset_mask),
         "h0": h0_theta(spec, tc),
     }
@@ -150,7 +162,7 @@ def sample_bielliptic_spec(r: int, N: int = DEFAULT_MODULUS, seed: int = 0) -> R
     if r < 1:
         raise ValueError("need r >= 1")
     model = EllipticModel(N)
-    rng = random.Random(seed)
+    rng = random.Random(checked_seed(seed))
 
     def draw():
         points = [model.random_even_class(rng) for _ in range(2 * r)]
@@ -184,7 +196,7 @@ def count_vanishing_generic_bielliptic(g: int, N: int = DEFAULT_MODULUS, seed: i
         "N": N,
         "seed": seed,
         "branch_points": [list(p.torsion) for p in spec.branch_points],
-        "cover_class": spec.cover_class.to_json(),
+        "cover_class": _class_json(spec.cover_class),
         "count": len(vanishing),
         "lower_bound": closed_form_counts(1, r)["vanishing_lb"],
         "extras": [_char_json(spec, tc) for tc in extras],

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 RATIONAL = "rational"
 ELLIPTIC = "elliptic"
 GENERIC = "generic"
-DEFAULT_MODULUS = 240  # the elliptic torsion modulus N when a caller names none
 
 
 class ModelError(Exception):
@@ -44,14 +43,6 @@ class LineBundleClass:
     kind: str
     degree: int
     torsion: tuple[int, ...] = ()
-
-    def to_json(self) -> dict:
-        data: dict = {"kind": self.kind, "degree": self.degree}
-        if self.kind == ELLIPTIC:
-            data["point"] = list(self.torsion)
-        elif self.kind == GENERIC:
-            data["label"] = "".join(map(str, self.torsion))
-        return data
 
 
 @dataclass(frozen=True)
@@ -129,7 +120,7 @@ def RationalModel() -> BaseCurveModel:
     return BaseCurveModel(RATIONAL, ())
 
 
-def EllipticModel(N: int = DEFAULT_MODULUS) -> BaseCurveModel:
+def EllipticModel(N: int) -> BaseCurveModel:
     """Genus-1 base with degree-0 classes modelled by (Z/N)^2 torsion.
 
     Construction points are drawn from the even sublattice 2 (Z/N)^2 so

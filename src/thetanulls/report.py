@@ -43,11 +43,13 @@ def check(name: str, expected, actual) -> dict:
     return {"name": name, "pass": expected == actual, "expected": expected, "actual": actual}
 
 
-def build_report(command: str, parameters: dict, results: dict, checks: list[dict] | None = None) -> dict:
+def build_report(command: str, parameters: dict, results: dict | list[dict]) -> dict:
+    """The report of results as a function returns them; a check list becomes totals, checks and one verdict."""
     report = {"command": command, "parameters": parameters, "results": results}
-    if checks is not None:
-        report["checks"] = checks
-        report["checks_passed"] = all(c["pass"] for c in checks)
+    if isinstance(results, list):
+        passed = sum(1 for c in results if c["pass"])
+        report["results"] = {"checks_total": len(results), "checks_passed": passed}
+        report.update(checks=results, checks_passed=passed == len(results))
     return report
 
 

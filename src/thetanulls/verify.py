@@ -11,7 +11,7 @@ import itertools
 import random
 
 from . import etale, quadforms, ramified
-from .constructions import sample_bielliptic_spec
+from .constructions import checked_seed, sample_bielliptic_spec
 from .report import check
 
 T_SIZE_MAX_B = 8  # vanishing-set sizes are counted up to here, past --max-b
@@ -47,6 +47,7 @@ def counts_suite(max_b: int = 3, max_r: int = 6, seed: int = 0) -> list[dict]:
     before any cell starts."""
     ramified.refuse_over_budget(2 * (max_b + max_r - 1), f"--max-b {max_b} --max-r {max_r}")
     ramified.closed_form_counts(max_b, max_r)  # refuses max_b < 0 and max_r < 1
+    checked_seed(seed)  # a b = 1 cell would refuse it only after the rational cells ran
     return [c for b in range(max_b + 1) for r in range(1, max_r + 1) for c in _counts_cell(b, r, seed)]
 
 
@@ -89,7 +90,9 @@ def syzygetic_suite(max_b: int = 5) -> list[dict]:
     all-even affine subspace of dimension g - 1, which is closed under
     triple products.  The budget states the floor of log2 of the largest
     cell's work: its C(|T|, 3) triple parities and, up to ``CLOSURE_MAX_B``,
-    the closure check's 2^(6(b-1)) triple products."""
+    the closure check's 2^(6(b-1)) triple products.  Only ``syzygetic``,
+    ``subspace_size`` and ``subspace_closed`` can fail; ``subspace_even`` and
+    ``T_in_subspace`` hold by construction (see ``etale.even_subspace``)."""
     log2_work = max(3 * (2 * max_b - 3) - 3, 6 * (min(max_b, CLOSURE_MAX_B) - 1))
     ramified.refuse_over_budget(log2_work, f"--max-b {max_b}", "triples")
     checks = []
@@ -141,7 +144,7 @@ def oracle_suite(seed: int = 0) -> list[dict]:
             if q.arf() != quadforms.arf_by_zero_count(q)
         )
         checks.append(check(f"arf_oracle_exhaustive[dim={dim}]", 0, bad))
-    rng = random.Random(seed)
+    rng = random.Random(checked_seed(seed))
     dims = range(2, ORACLE_MAX_DIM + 1, 2)
     bad = 0
     for _ in range(ORACLE_SAMPLES):

@@ -159,6 +159,10 @@ def test_rho_of_the_wrong_length_has_one_message(capsys, b, rho, message):
         ("count --case etale --b 2 --rho 01", 2),
         ("count --case etale --b 2 --rho 01000000", 2),
         ("count --case etale --b 13 --rho 1" + "0" * 25, 2),
+        ("construct bielliptic-g6 --seed -7", 2),
+        ("construct bielliptic-generic --g 5 --seed -1", 2),
+        ("verify --suite oracle --seed -1", 2),
+        ("verify --suite counts --seed -1", 2),
         ("construct bielliptic-g6 --N 6", 3),
         ("construct bielliptic-generic --g 3 --N 6", 3),
     ],
@@ -230,9 +234,8 @@ def test_edge_value_grid_keeps_exit_code_contract(capsys, base):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_construct_enumerates_once_per_call(monkeypatch, capsys):
-    # the benchmark's ramified.chars trace check counts 1,024 characteristics
-    # per bielliptic-g6 call: exactly one full enumeration
+def _recorded_enumerations(monkeypatch) -> list[int]:
+    """The size of each ``enumerate_theta_chars`` result, at every binding in the package."""
     original = ramified.enumerate_theta_chars
     sizes = []
 
@@ -244,9 +247,27 @@ def test_construct_enumerates_once_per_call(monkeypatch, capsys):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "thetanulls" and getattr(module, "enumerate_theta_chars", None) is original:
             monkeypatch.setattr(module, "enumerate_theta_chars", counting)
+    return sizes
+
+
+def test_construct_enumerates_once_per_call(monkeypatch, capsys):
+    # the benchmark's ramified.chars trace check counts 1,024 characteristics
+    # per bielliptic-g6 call: exactly one full enumeration
+    sizes = _recorded_enumerations(monkeypatch)
     assert main(["construct", "bielliptic-g6", "--seed", "7"]) == 0
     capsys.readouterr()
     assert sizes == [1024]
+
+
+def test_negative_seed_refused_before_any_cell_runs(monkeypatch, capsys):
+    # random.Random seeds with abs(seed), so -1 would repeat seed 1; the
+    # counts suite refuses it before its first, rational, cell enumerates
+    sizes = _recorded_enumerations(monkeypatch)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "counts", "--seed", "-1"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith("error: seed must be a non-negative integer, got -1\n")
+    assert sizes == []
 
 
 def test_every_parameter_is_a_flag_of_its_subcommand():

@@ -192,13 +192,6 @@ def test_elliptic_modulus_must_be_multiple_of_four():
         GenericModel(1)
 
 
-def test_class_json():
-    assert LineBundleClass("elliptic", 1, (2, 2)).to_json() == {"kind": "elliptic", "degree": 1, "point": [2, 2]}
-    g = GenericModel(2)
-    assert g.trivial().to_json() == {"kind": "generic", "degree": 0, "label": "0000"}
-    assert RationalModel().trivial().to_json() == {"kind": "rational", "degree": 0}
-
-
 def test_random_group_laws_and_roots():
     rng = random.Random(7)
 

@@ -62,7 +62,7 @@ def test_unreduced_cover_class_refused():
     m = EllipticModel(240)
     pts = _points((0, 0), (4, 0))
     spec = RamifiedCoverSpec(m, pts, LineBundleClass("elliptic", 1, (2, 0)))
-    assert spec.cover_class.to_json()["point"] == [2, 0]
+    assert spec.cover_class.torsion == (2, 0)
     for torsion in ((242, 0), (-238, 0), (2, 240)):
         with pytest.raises(ModelError, match="reduced coordinates"):
             RamifiedCoverSpec(m, pts, LineBundleClass("elliptic", 1, torsion))
