@@ -64,8 +64,8 @@ def build_bielliptic_genus6(N: int = DEFAULT_MODULUS, seed: int = 0) -> Ramified
     divisor solved for with the model's group law; a collision redraws
     everything.
     """
+    rng = random.Random(checked_seed(seed))  # a usage error goes before a model error
     model = EllipticModel(N)
-    rng = random.Random(checked_seed(seed))
 
     def draw():
         base, pencil, x1, x2 = (model.random_even_class(rng, degree) for degree in (1, 2, 1, 1))
@@ -161,8 +161,8 @@ def sample_bielliptic_spec(r: int, N: int = DEFAULT_MODULUS, seed: int = 0) -> R
     """
     if r < 1:
         raise ValueError("need r >= 1")
+    rng = random.Random(checked_seed(seed))  # a usage error goes before a model error
     model = EllipticModel(N)
-    rng = random.Random(checked_seed(seed))
 
     def draw():
         points = [model.random_even_class(rng) for _ in range(2 * r)]

@@ -17,9 +17,10 @@ word, not a form, so a caller that needs only tables builds no form.
 The two carries of each doubling step are built once per step and cached,
 at most 24 entries: about 256 KB once a 20-step table has been built,
 about 4 MB at 24 steps, which an etale --rho count reaches at b = 12.
-The Arf oracle counts zeros on the same recurrence but stops one step
-short and counts the last step's two halves apart, so it never builds
-the full 2^dim-bit table.
+The Arf oracle counts zeros on the same recurrence but stops one
+hyperbolic pair short: each of the four blocks the last pair's two steps
+would join is the head or its complement, so one popcount of the head
+counts them all and the full 2^dim-bit table is never built.
 """
 
 from __future__ import annotations
@@ -123,15 +124,25 @@ def value_table(basis_values: int, steps: int) -> int:
 def zero_count(q: QuadraticForm) -> int:
     """Number of vectors on which q vanishes, from all 2^dim values.
 
-    The doubling runs for dim - 1 steps; the last step's two halves of the
-    table, the head and the head plus its carry, are counted apart instead
-    of joined, so the largest word built has 2^(dim-1) bits."""
+    The doubling runs for dim - 2 steps.  The last hyperbolic pair's two
+    steps would join four blocks of 2^(dim-2) bits: the head, the head plus
+    the carry of step dim - 2, and those two plus the lower and the upper
+    half of the carry of step dim - 1.  Each of those carries is constant
+    on the block it is added to, so every block is the head or its
+    complement, one bit of the carry says which, and one popcount of the
+    head counts all four; the largest word built is the head."""
+    if q.dim > VALUE_TABLE_MAX_DIM:
+        raise ValueError(f"value table supported up to dimension {VALUE_TABLE_MAX_DIM}")
     if q.dim == 0:
         return 1
-    top = q.dim - 1
-    head = value_table(q.basis_values, top)
-    tail = head ^ _carries(top)[(q.basis_values >> top) & 1]
-    return (1 << q.dim) - head.bit_count() - tail.bit_count()
+    top = q.dim - 2
+    size = 1 << top
+    head_zeros = size - value_table(q.basis_values, top).bit_count()
+    carry = _carries(top)[(q.basis_values >> top) & 1] & 1
+    pair_carry = _carries(top + 1)[(q.basis_values >> (top + 1)) & 1]
+    # bit 0 of the pair's carry lies in its lower half, bit 2 * size - 1 in its upper
+    complements = carry + (pair_carry & 1) + (carry ^ (pair_carry >> (2 * size - 1)))
+    return (4 - complements) * head_zeros + complements * (size - head_zeros)
 
 
 def arf_by_zero_count(q: QuadraticForm) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from thetanulls import constructions, etale, ramified, verify
+from thetanulls import constructions, etale, quadforms, ramified, verify
 from thetanulls.cli import COMMANDS, build_parser, main
 from thetanulls.report import check
 
@@ -163,6 +163,8 @@ def test_rho_of_the_wrong_length_has_one_message(capsys, b, rho, message):
         ("construct bielliptic-generic --g 5 --seed -1", 2),
         ("verify --suite oracle --seed -1", 2),
         ("verify --suite counts --seed -1", 2),
+        ("construct bielliptic-g6 --N 6 --seed -1", 2),
+        ("construct bielliptic-generic --g 3 --N 6 --seed -1", 2),
         ("construct bielliptic-g6 --N 6", 3),
         ("construct bielliptic-generic --g 3 --N 6", 3),
     ],
@@ -301,6 +303,18 @@ def test_failing_check_exits_1(monkeypatch, tmp_path, capsys):
     assert code == 1
     assert '[FAIL] fake (expected="0", actual="1")' in out.splitlines()
     assert out.endswith("checks passed: False\n")
+
+
+def test_oracle_suite_fails_where_the_blocks_are_counted(monkeypatch, capsys):
+    # a basis formula wrong only from dimension 18 up, where the zero count's
+    # head has 2^16 bits or more, must fail the random check and the run
+    arf = quadforms.QuadraticForm.arf
+    monkeypatch.setattr(quadforms.QuadraticForm, "arf", lambda q: arf(q) ^ (q.dim >= 18))
+    code, report = run_json(capsys, "verify", "--suite", "oracle")
+    assert code == 1
+    assert report["checks_passed"] is False
+    (random_check,) = [c for c in report["checks"] if c["name"].startswith("arf_oracle_random[")]
+    assert int(random_check["actual"]) > 0
 
 
 def test_unwritable_json_out_refused_before_the_suite_runs(monkeypatch, capsys):

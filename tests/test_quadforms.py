@@ -135,8 +135,10 @@ def test_zero_count_reads_every_value():
 
 
 def test_zero_count_never_builds_the_full_table():
-    # a dimension-20 table is 128 KB; counting its two halves apart keeps the
-    # largest word at 64 KB
+    # a dimension-20 table is 128 KB; counting the last pair's four blocks
+    # from the 32 KB head keeps the largest word at 32 KB.  The head's last
+    # doubling step holds its 16 KB low block, the shifted block and the
+    # joined head at once, about 88 KB; a 64 KB head would peak near 175 KB
     q = QuadraticForm(20, (1 << 20) - 1)
     zero_count(q)  # warm the carries
     tracemalloc.start()
@@ -145,7 +147,7 @@ def test_zero_count_never_builds_the_full_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 256 * 1024
+    assert peak < 128 * 1024
 
 
 def test_value_table_independent_of_call_order():
