@@ -15,12 +15,13 @@ The packed value table of a basis-value word, its values on the vectors
 below 2^steps, doubles a packed word once per basis vector; it takes the
 word, not a form, so a caller that needs only tables builds no form.
 The two carries of each doubling step are built once per step and cached,
-at most 24 entries: about 256 KB once a 20-step table has been built,
-about 4 MB at 24 steps, which an etale --rho count reaches at b = 12.
-The Arf oracle counts zeros on the same recurrence but stops one
-hyperbolic pair short: each of the four blocks the last pair's two steps
-would join is the head or its complement, so one popcount of the head
-counts them all and the full 2^dim-bit table is never built.
+at most 24 entries: about 12 KB after the 16 steps of the etale suite's
+vanishing counts, about 190 KB after 20 steps, which only an etale --rho
+count at b >= 10 or a direct call reaches, and 3 MB at 24 steps (b = 12).
+The Arf oracle counts zeros on two orthogonal halves of the space, split
+at a hyperbolic-pair boundary: q vanishes on a sum exactly when its two
+half values agree, so two half-dimension value tables count every zero
+and the full 2^dim-bit table is never built.
 """
 
 from __future__ import annotations
@@ -122,40 +123,32 @@ def value_table(basis_values: int, steps: int) -> int:
 
 
 def zero_count(q: QuadraticForm) -> int:
-    """Number of vectors on which q vanishes, from all 2^dim values.
+    """Number of vectors on which q vanishes.
 
-    The doubling runs for dim - 2 steps.  The last hyperbolic pair's two
-    steps would join four blocks of 2^(dim-2) bits: the head, the head plus
-    the carry of step dim - 2, and those two plus the lower and the upper
-    half of the carry of step dim - 1.  Each of those carries is constant
-    on the block it is added to, so every block is the head or its
-    complement, one bit of the carry says which, and one popcount of the
-    head counts all four; the largest word built is the head."""
+    GF(2)^dim splits at the hyperbolic-pair boundary low = 2 (dim // 4)
+    into two orthogonal halves, the vectors below 2^low and the multiples
+    of 2^low, so q(x + y) = q(x) + q(y) and q vanishes at x + y exactly
+    when its two half values agree.  With z and o the zeros and ones of
+    each half's value table, the count is z_L z_H + o_L o_H: the values of
+    2^low + 2^(dim - low) vectors are read, never the full table."""
     if q.dim > VALUE_TABLE_MAX_DIM:
         raise ValueError(f"value table supported up to dimension {VALUE_TABLE_MAX_DIM}")
-    if q.dim == 0:
-        return 1
-    top = q.dim - 2
-    size = 1 << top
-    head_zeros = size - value_table(q.basis_values, top).bit_count()
-    carry = _carries(top)[(q.basis_values >> top) & 1] & 1
-    pair_carry = _carries(top + 1)[(q.basis_values >> (top + 1)) & 1]
-    # bit 0 of the pair's carry lies in its lower half, bit 2 * size - 1 in its upper
-    complements = carry + (pair_carry & 1) + (carry ^ (pair_carry >> (2 * size - 1)))
-    return (4 - complements) * head_zeros + complements * (size - head_zeros)
+    low = 2 * (q.dim // 4)
+    high = q.dim - low
+    ones_low = value_table(q.basis_values, low).bit_count()
+    # low is even, so the shift keeps the hyperbolic pairs of the upper half
+    ones_high = value_table(q.basis_values >> low, high).bit_count()
+    return ((1 << low) - ones_low) * ((1 << high) - ones_high) + ones_low * ones_high
 
 
 def arf_by_zero_count(q: QuadraticForm) -> int:
-    """Independent Arf evaluation: the invariant is 0 exactly when q has
-    2^(2n-1) + 2^(n-1) zeros.  Never used as the primary path."""
-    dim = q.dim
-    if dim == 0:
+    """Independent Arf evaluation: the invariant is 0 exactly when twice
+    the zero count of q is 2^(2n) + 2^n, and 1 when it is 2^(2n) - 2^n.
+    Never used as the primary path."""
+    twice_zeros = 2 * zero_count(q)
+    size, gap = 1 << q.dim, 1 << (q.dim // 2)
+    if twice_zeros == size + gap:
         return 0
-    zeros = zero_count(q)
-    majority = 1 << (dim - 1)
-    gap = 1 << (dim // 2 - 1)
-    if zeros == majority + gap:
-        return 0
-    if zeros == majority - gap:
+    if twice_zeros == size - gap:
         return 1
     raise AssertionError("zero count incompatible with a quadratic refinement")

@@ -307,7 +307,7 @@ def test_failing_check_exits_1(monkeypatch, tmp_path, capsys):
 
 def test_oracle_suite_fails_where_the_blocks_are_counted(monkeypatch, capsys):
     # a basis formula wrong only from dimension 18 up, where the zero count's
-    # head has 2^16 bits or more, must fail the random check and the run
+    # upper half table has 2^10 bits, must fail the random check and the run
     arf = quadforms.QuadraticForm.arf
     monkeypatch.setattr(quadforms.QuadraticForm, "arf", lambda q: arf(q) ^ (q.dim >= 18))
     code, report = run_json(capsys, "verify", "--suite", "oracle")

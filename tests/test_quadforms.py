@@ -14,6 +14,7 @@ from thetanulls.quadforms import (
     value_table,
     zero_count,
 )
+from thetanulls.verify import ORACLE_MAX_DIM, oracle_suite
 
 
 def vectors(dim):
@@ -135,10 +136,9 @@ def test_zero_count_reads_every_value():
 
 
 def test_zero_count_never_builds_the_full_table():
-    # a dimension-20 table is 128 KB; counting the last pair's four blocks
-    # from the 32 KB head keeps the largest word at 32 KB.  The head's last
-    # doubling step holds its 16 KB low block, the shifted block and the
-    # joined head at once, about 88 KB; a 64 KB head would peak near 175 KB
+    # a dimension-20 table is 128 KB; the two orthogonal halves of the space
+    # are 10 steps each, so the largest word is one 128-byte half table.  A
+    # count that builds a 2^18-bit head peaks near 88 KB
     q = QuadraticForm(20, (1 << 20) - 1)
     zero_count(q)  # warm the carries
     tracemalloc.start()
@@ -147,7 +147,11 @@ def test_zero_count_never_builds_the_full_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 1024
+    assert peak < 4 * 1024
+    # the oracle suite's largest tables are its half tables
+    _carries.cache_clear()
+    oracle_suite(0)
+    assert _carries.cache_info().currsize == ORACLE_MAX_DIM // 2
 
 
 def test_value_table_independent_of_call_order():
@@ -211,7 +215,7 @@ def test_zero_count_examples():
 
 
 def test_arf_oracle_agreement_exhaustive():
-    for n in (1, 2, 3):
+    for n in (0, 1, 2, 3):
         for q in all_forms(2 * n):
             assert q.arf() == arf_by_zero_count(q)
 
