@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import os
 import sys
 import time
@@ -42,8 +41,9 @@ def _checked_genus(g: int) -> int:
 
 def _ramified_counts(b: int, r: int) -> dict:
     g = _checked_genus(2 * b + r - 1)
-    counts = ramified.closed_form_counts(b, r)
-    return {"b": b, "r": r, "g": g, **counts, "asymptotic_ratio": ramified.asymptotic_ratio(b, r)}
+    num, den = ramified.asymptotic_ratio(b, r)
+    ratio = {"fraction": f"{num}/{den}", "decimal": repr(num / den)}
+    return {"b": b, "r": r, "g": g, **ramified.closed_form_counts(b, r), "asymptotic_ratio": ratio}
 
 
 def _etale_counts(b: int, rho: str | None = None) -> dict:
@@ -68,10 +68,17 @@ COMMANDS = {
 }
 
 
+_REQUIRED = object()  # the default of a parameter that has none
+
+
 @functools.cache
-def _parameters(func):
-    """``func``'s parameters, read once per function object, so a replaced table entry is read anew."""
-    return inspect.signature(func).parameters
+def _parameters(func) -> dict:
+    """``func``'s parameters and defaults, read off the code of the function it
+    wraps, if any, once per function object, so a replaced table entry is read anew."""
+    func = getattr(func, "__wrapped__", func)
+    names = func.__code__.co_varnames[: func.__code__.co_argcount]
+    defaults = func.__defaults__ or ()
+    return dict(zip(names, (_REQUIRED,) * (len(names) - len(defaults)) + defaults))
 
 
 def _flag_kwargs(func, args, flags: tuple[str, ...], name: str) -> dict:
@@ -82,8 +89,8 @@ def _flag_kwargs(func, args, flags: tuple[str, ...], name: str) -> dict:
     unused = [f"--{k.replace('_', '-')}" for k in flags if getattr(args, k) is not None and k not in params]
     if unused:
         raise ValueError(f"{name} takes no {' '.join(unused)}")
-    kwargs = {k: p.default if getattr(args, k) is None else getattr(args, k) for k, p in params.items() if k in flags}
-    missing = [f"--{k}" for k, v in kwargs.items() if v is inspect.Parameter.empty]
+    kwargs = {k: d if getattr(args, k) is None else getattr(args, k) for k, d in params.items() if k in flags}
+    missing = [f"--{k}" for k, v in kwargs.items() if v is _REQUIRED]
     if missing:
         raise ValueError(f"{name} requires {' '.join(missing)}")
     return kwargs

@@ -22,35 +22,35 @@ and a form-case one its canonical ``QuadraticForm``; forms are enumerated
 and filtered as basis-value words, and built only for the words a caller
 receives.
 The exhaustive count of the vanishing set tests every basis-value word
-at once: each of its three predicates is a packed table over the words,
-read off ``quadforms.value_table`` of a word; the count is a popcount.
+at once: each of its two predicates is a packed table over the words,
+read off ``quadforms.value_table`` of a word; the count is half a
+popcount, since the cover's translation pairs the words it counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import MAX_DIM, swap_pairs
+from .gf2 import MAX_DIM, Record, swap_pairs
 from .quadforms import VALUE_TABLE_MAX_DIM, QuadraticForm, _pair_parity, affine_difference, value_table
 
 
-@dataclass(frozen=True)
-class EtaleCoverSpec:
+class EtaleCoverSpec(Record):
     """An unramified double cover: base genus b and the cover class, a nonzero word below 4^b."""
 
-    b: int
-    cover_class: int
+    __slots__ = _fields = ("b", "cover_class")
 
-    def __post_init__(self) -> None:
-        if self.b < 1:
+    def __init__(self, b: int, cover_class: int) -> None:
+        if b < 1:
             raise ValueError("base genus must be at least 1")
-        if 2 * self.b > MAX_DIM:
-            raise ValueError(f"dimension must be even and in 2..{MAX_DIM}, got {2 * self.b}")
-        if not 0 <= self.cover_class < 1 << (2 * self.b):
+        if 2 * b > MAX_DIM:
+            raise ValueError(f"dimension must be even and in 2..{MAX_DIM}, got {2 * b}")
+        if not 0 <= cover_class < 1 << (2 * b):
             raise ValueError("cover class must live in GF(2)^(2b)")
-        if not self.cover_class:
+        if not cover_class:
             raise ValueError("the cover class of a connected cover is nonzero")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "cover_class", cover_class)
 
     @property
     def g(self) -> int:
@@ -124,29 +124,27 @@ def vanishing_thetanulls(spec: EtaleCoverSpec) -> list[QuadraticForm]:
 
 
 def count_vanishing_enumerated(spec: EtaleCoverSpec) -> int:
-    """Size of ``vanishing_thetanulls(spec)``, counted over all 2^(2b)
-    basis-value words w as the popcount of three packed tables with bit w
-    for each word; refused past b = ``VALUE_TABLE_MAX_DIM // 2``, the tables' bound.
+    """Size of ``vanishing_thetanulls(spec)``: half the popcount of two
+    packed tables with bit w for each of the 2^(2b) basis-value words w;
+    refused past b = ``VALUE_TABLE_MAX_DIM // 2``, the tables' bound.
 
-    The tables are ``value_table`` of three words; no form is built.  The
+    The tables are ``value_table`` of two words; no form is built.  The
     zero word's table has bit w = ``_pair_parity(w)``, the Arf invariant of
-    the word w; XOR-ed onto the table of a word u it leaves bit w =
-    parity(w & u): with u = cover, q(cover) less the cover's cross term;
-    with u the top bit of ``swap_pairs(cover)``, the bit that
-    ``_canonical_words`` requires clear.
+    the word w; XOR-ed onto the cover's table it leaves bit w =
+    parity(w & cover), q(cover) less the cover's cross term.  Translation
+    by the cover pairs the words with q(cover) = 0 and Arf 1, one canonical
+    in each pair; an odd popcount, which only a wrong table gives, reads -1.
     """
     dim = 2 * spec.b
     if dim > VALUE_TABLE_MAX_DIM:
         raise ValueError(f"enumerating forms runs up to base genus {VALUE_TABLE_MAX_DIM // 2}, got {spec.b}")
     rho = spec.cover_class
-    ones = (1 << (1 << dim)) - 1
     arf = value_table(0, dim)
     on_cover = value_table(rho, dim) ^ arf
     if not _pair_parity(rho):
-        on_cover ^= ones
-    top = swap_pairs(rho).bit_length() - 1
-    canonical = value_table(1 << top, dim) ^ arf ^ ones
-    return (arf & canonical & on_cover).bit_count()
+        on_cover ^= (1 << (1 << dim)) - 1
+    whole = (arf & on_cover).bit_count()
+    return -1 if whole & 1 else whole >> 1
 
 
 def closed_form_counts(b: int) -> dict:

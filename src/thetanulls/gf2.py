@@ -1,4 +1,5 @@
-"""Words of GF(2)^(2n), the symplectic pairing, and the ``--rho`` parse type.
+"""Words of GF(2)^(2n), the symplectic pairing, the ``--rho`` parse type,
+and ``Record``, the frozen value base of the package's classes.
 
 A vector is an int word, coordinates packed little-endian in the
 hyperbolic basis order (a1, b1, a2, b2, ...); the spec or form holding it
@@ -9,7 +10,7 @@ machine word holds any vector of dimension up to 64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 MAX_DIM = 64
 
@@ -23,20 +24,43 @@ def swap_pairs(bits: int) -> int:
     return ((bits & EVEN_POSITIONS) << 1) | ((bits >> 1) & EVEN_POSITIONS)
 
 
-@dataclass(frozen=True)
-class GF2Vector:
+class Record:
+    """A frozen dataclass without ``dataclasses``: a subclass keeps its ``_fields`` in
+    ``__slots__``, sets each once with ``object.__setattr__``, and is compared (within
+    its class), hashed and written by them alone."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __eq__(self, other):
+        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self._fields, self._values(self)))})"
+
+
+class GF2Vector(Record):
     """A ``--rho`` bitstring: its word ``bits`` in GF(2)^dim, dim even and at
     most ``MAX_DIM``.  ``__add__``/``__xor__`` have no caller in the
     package; they stay only because the benchmark's tests name them."""
 
-    bits: int
-    dim: int
+    __slots__ = _fields = ("bits", "dim")
 
-    def __post_init__(self) -> None:
-        if self.dim <= 0 or self.dim > MAX_DIM or self.dim % 2:
-            raise ValueError(f"dimension must be even and in 2..{MAX_DIM}, got {self.dim}")
-        if not 0 <= self.bits < (1 << self.dim):
+    def __init__(self, bits: int, dim: int) -> None:
+        if dim <= 0 or dim > MAX_DIM or dim % 2:
+            raise ValueError(f"dimension must be even and in 2..{MAX_DIM}, got {dim}")
+        if not 0 <= bits < (1 << dim):
             raise ValueError("coordinate word out of range for the dimension")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "dim", dim)
 
     def __add__(self, other: "GF2Vector") -> "GF2Vector":
         if self.dim != other.dim:

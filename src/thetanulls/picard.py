@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+
+from .gf2 import Record
 
 RATIONAL = "rational"
 ELLIPTIC = "elliptic"
@@ -31,8 +32,7 @@ class ModelError(Exception):
     """A divisor-class operation hit a model-setup violation."""
 
 
-@dataclass(frozen=True)
-class LineBundleClass:
+class LineBundleClass(Record):
     """A divisor class: degree plus a torsion tuple, one coordinate per
     cyclic factor of the model (empty on the rational model).  Each model
     operation on a class, not construction, refuses a wrong kind or torsion length.
@@ -40,23 +40,27 @@ class LineBundleClass:
     is reduced, and a hand-built class ``c`` compares correctly after
     ``model.tensor(c, model.trivial())``."""
 
-    kind: str
-    degree: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = _fields = ("kind", "degree", "torsion")
+
+    def __init__(self, kind: str, degree: int, torsion: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "torsion", torsion)
 
 
-@dataclass(frozen=True)
-class BaseCurveModel:
+class BaseCurveModel(Record):
     """Divisor classes on a genus-b base: Z x Z/m_1 x ... x Z/m_k, where
     ``moduli`` lists the m_i; ``b = k // 2`` is set once, not a field."""
 
-    kind: str
-    moduli: tuple[int, ...]
+    _fields = ("kind", "moduli")
+    __slots__ = _fields + ("b",)
 
-    def __post_init__(self) -> None:
-        if len(self.moduli) % 2:
-            raise ModelError(f"a genus-b base has 2b torsion moduli, got {len(self.moduli)}")
-        object.__setattr__(self, "b", len(self.moduli) // 2)
+    def __init__(self, kind: str, moduli: tuple[int, ...]) -> None:
+        if len(moduli) % 2:
+            raise ModelError(f"a genus-b base has 2b torsion moduli, got {len(moduli)}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "b", len(moduli) // 2)
 
     def _check(self, cls: LineBundleClass) -> None:
         if cls.kind != self.kind or len(cls.torsion) != len(self.moduli):

@@ -20,19 +20,20 @@ vanishing counts, about 190 KB after 20 steps, which only an etale --rho
 count at b >= 10 or a direct call reaches, and 3 MB at 24 steps (b = 12).
 The Arf oracle counts zeros on two orthogonal halves of the space, split
 at a hyperbolic-pair boundary: q vanishes on a sum exactly when its two
-half values agree, so two half-dimension value tables count every zero
-and the full 2^dim-bit table is never built.
+half values agree, so two half-dimension popcounts count every zero and
+the full 2^dim-bit table is never built.  Halves repeat across an oracle
+run's forms, so ``verify.oracle_suite`` opens a memo of them for one call.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import EVEN_POSITIONS, MAX_DIM, swap_pairs
+from .gf2 import EVEN_POSITIONS, MAX_DIM, Record, swap_pairs
 
 VALUE_TABLE_MAX_DIM = 24  # bounds the carry cache, and the etale --rho count at b = 12
+_half_ones: dict[int, int] | None = None  # half-table popcounts, a dict only inside one oracle run
 
 
 def _pair_parity(word: int) -> int:
@@ -41,18 +42,18 @@ def _pair_parity(word: int) -> int:
     return (word & (word >> 1) & EVEN_POSITIONS).bit_count() & 1
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record):
     """Quadratic form refining the symplectic pairing of GF(2)^dim."""
 
-    dim: int
-    basis_values: int
+    __slots__ = _fields = ("dim", "basis_values")
 
-    def __post_init__(self) -> None:
-        if self.dim < 0 or self.dim > MAX_DIM or self.dim % 2:
-            raise ValueError(f"dimension must be even and in 0..{MAX_DIM}, got {self.dim}")
-        if not 0 <= self.basis_values < (1 << self.dim):
+    def __init__(self, dim: int, basis_values: int) -> None:
+        if dim < 0 or dim > MAX_DIM or dim % 2:
+            raise ValueError(f"dimension must be even and in 0..{MAX_DIM}, got {dim}")
+        if not 0 <= basis_values < (1 << dim):
             raise ValueError("basis values out of range for the space")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis_values", basis_values)
 
     def __call__(self, v: int) -> int:
         if not 0 <= v < 1 << self.dim:
@@ -122,6 +123,15 @@ def value_table(basis_values: int, steps: int) -> int:
     return table
 
 
+def _ones(word: int, steps: int) -> int:
+    """Popcount of ``value_table(word, steps)``, word below 2^steps; built once while ``_half_ones`` is open."""
+    memo = {} if _half_ones is None else _half_ones
+    key = word | 1 << steps  # the bit above the word marks steps
+    if key not in memo:
+        memo[key] = value_table(word, steps).bit_count()
+    return memo[key]
+
+
 def zero_count(q: QuadraticForm) -> int:
     """Number of vectors on which q vanishes.
 
@@ -129,26 +139,22 @@ def zero_count(q: QuadraticForm) -> int:
     into two orthogonal halves, the vectors below 2^low and the multiples
     of 2^low, so q(x + y) = q(x) + q(y) and q vanishes at x + y exactly
     when its two half values agree.  With z and o the zeros and ones of
-    each half's value table, the count is z_L z_H + o_L o_H: the values of
-    2^low + 2^(dim - low) vectors are read, never the full table."""
+    each half's value table, the count is z_L z_H + o_L o_H; an oracle run
+    reads each distinct half once (``_ones``), and never the full table."""
     if q.dim > VALUE_TABLE_MAX_DIM:
         raise ValueError(f"value table supported up to dimension {VALUE_TABLE_MAX_DIM}")
     low = 2 * (q.dim // 4)
     high = q.dim - low
-    ones_low = value_table(q.basis_values, low).bit_count()
+    ones_low = _ones(q.basis_values & ((1 << low) - 1), low)
     # low is even, so the shift keeps the hyperbolic pairs of the upper half
-    ones_high = value_table(q.basis_values >> low, high).bit_count()
+    ones_high = _ones(q.basis_values >> low, high)
     return ((1 << low) - ones_low) * ((1 << high) - ones_high) + ones_low * ones_high
 
 
 def arf_by_zero_count(q: QuadraticForm) -> int:
     """Independent Arf evaluation: the invariant is 0 exactly when twice
-    the zero count of q is 2^(2n) + 2^n, and 1 when it is 2^(2n) - 2^n.
-    Never used as the primary path."""
-    twice_zeros = 2 * zero_count(q)
-    size, gap = 1 << q.dim, 1 << (q.dim // 2)
-    if twice_zeros == size + gap:
-        return 0
-    if twice_zeros == size - gap:
-        return 1
-    raise AssertionError("zero count incompatible with a quadratic refinement")
+    the zero count of q is 2^(2n) + 2^n, and 1 when it is 2^(2n) - 2^n;
+    any other count, which only a wrong table gives, reads -1.  Never
+    used as the primary path."""
+    twice_zeros, size, gap = 2 * zero_count(q), 1 << q.dim, 1 << (q.dim // 2)
+    return 0 if twice_zeros == size + gap else 1 if twice_zeros == size - gap else -1

@@ -23,11 +23,10 @@ roots in model order, so reports and diffs are reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple
 
+from .gf2 import Record
 from .picard import (
     GENERIC,
     RATIONAL,
@@ -39,20 +38,21 @@ from .picard import (
 )
 
 
-@dataclass(frozen=True)
-class RamifiedCoverSpec:
+class RamifiedCoverSpec(Record):
     """Branch data of a double cover: the cover class rho and 2r branch points, each
     a degree-1 class with, like rho, even torsion in 0..m-1; ``b``, ``r`` and the torsion
     of K_B (x) rho are set once, as plain attributes rather than fields."""
 
-    model: BaseCurveModel
-    branch_points: tuple[LineBundleClass, ...]
-    cover_class: LineBundleClass
+    _fields = ("model", "branch_points", "cover_class")
+    __slots__ = _fields + ("r", "b", "_twisted_canonical_torsion")
 
-    def __post_init__(self) -> None:
-        if not self.branch_points or len(self.branch_points) % 2:
-            raise ValueError(f"need a nonzero even number of branch points, got {len(self.branch_points)}")
-        object.__setattr__(self, "r", len(self.branch_points) // 2)
+    def __init__(self, model: BaseCurveModel, branch_points: tuple[LineBundleClass, ...], cover_class: LineBundleClass):
+        if not branch_points or len(branch_points) % 2:
+            raise ValueError(f"need a nonzero even number of branch points, got {len(branch_points)}")
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "branch_points", branch_points)
+        object.__setattr__(self, "cover_class", cover_class)
+        object.__setattr__(self, "r", len(branch_points) // 2)
         object.__setattr__(self, "b", self.model.b)
         classes = [("branch point", p, 1) for p in self.branch_points] + [("cover class", self.cover_class, self.r)]
         for name, cls, degree in classes:
@@ -278,16 +278,18 @@ def binomial_identity_check(r: int) -> bool:
     return lhs == rhs and filt_im == 0 and 4 * lhs == filt_re
 
 
-def asymptotic_ratio(b: int, r: int) -> Fraction:
+def asymptotic_ratio(b: int, r: int) -> tuple[int, int]:
     """Guaranteed count over its large-genus equivalent 2^(2g-1-2b).
 
-    An exact rational; cancellation makes it independent of b:
+    A reduced (numerator, denominator); cancellation makes it independent of b:
 
         1 + 2^(1-r) - C(2r, r) / 4^(r-1).
 
     It is 0 for r <= 3 (the guaranteed count vanishes), increases strictly
     from r = 3 on and tends to 1 as r grows.
     """
-    exponent = 2 * b + 2 * r - 3
-    return Fraction(closed_form_counts(b, r)["vanishing_lb"]) / Fraction(2) ** exponent
+    num = closed_form_counts(b, r)["vanishing_lb"]
+    den = 1 << max(2 * b + 2 * r - 3, 0)  # the power is 2^-1 only at b = 0, r = 1, where num is 0
+    common = gcd(num, den)
+    return num // common, den // common
 

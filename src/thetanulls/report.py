@@ -1,37 +1,28 @@
 """Deterministic machine-readable reports.
 
 Every integer is serialized as a decimal string so consumers never lose
-exactness; the only non-integer quantity (the asymptotic ratio) is
-emitted as both an exact fraction and a decimal rendering.  Identical
+exactness; the only non-integer quantity (the asymptotic ratio) comes
+as text, an exact fraction and a decimal rendering.  Identical
 inputs produce byte-identical reports, so nothing time- or
 machine-dependent belongs here.
 
 A report holds raw results.  ``dumps`` writes them in one walk, as
 ``json.dumps(stringify(report), indent=2)`` would in two (the indenting
-encoder is pure Python); only ``--pretty`` stringifies.  ``_exact`` is
-the one rule for writing a number.
+encoder is pure Python); only ``--pretty`` stringifies.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-
-
-def _exact(value: int | Fraction):
-    """An int as its decimal string; a Fraction as its exact and its float form."""
-    if isinstance(value, int):
-        return str(value)
-    return {"fraction": f"{value.numerator}/{value.denominator}", "decimal": repr(float(value))}
 
 
 def stringify(value):
     """Recursively convert exact numbers to strings for JSON output."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
-    if isinstance(value, (int, Fraction)):
-        return _exact(value)
+    if isinstance(value, int):
+        return str(value)
     if isinstance(value, dict):
         return {k: stringify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -55,21 +46,18 @@ def build_report(command: str, parameters: dict, results: dict | list[dict]) -> 
 
 def _encode(value, pad: str) -> str:
     """``json.dumps(stringify(value), indent=2)``, each line after the first
-    indented by ``pad`` more; keys are names, so a non-string key is refused.
-    ``Fraction`` is tested last: its ABC instance check is the slow one."""
+    indented by ``pad`` more; keys are names, so a non-string key is refused."""
     if isinstance(value, str):
         return _quote(value)
     if value is None or isinstance(value, bool):
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
-        return _quote(_exact(value))
+        return _quote(str(value))
     inner = pad + "  "
     if isinstance(value, dict):
         opening, closing, items = "{", "}", [f"{_quote(k)}: {_encode(v, inner)}" for k, v in value.items()]
     elif isinstance(value, (list, tuple)):
         opening, closing, items = "[", "]", [_encode(v, inner) for v in value]
-    elif isinstance(value, Fraction):
-        return _encode(_exact(value), pad)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
     separator = ",\n" + inner

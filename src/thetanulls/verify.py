@@ -136,24 +136,28 @@ def syzygetic_suite(max_b: int = 5) -> list[dict]:
 def oracle_suite(seed: int = 0) -> list[dict]:
     """Basis-formula Arf against the exhaustive zero-count oracle:
     every form up to dimension 6, then random forms up to ``ORACLE_MAX_DIM``."""
-    checks = []
-    for dim in (2, 4, 6):
-        bad = sum(
-            1
-            for q in quadforms.all_forms(dim)
-            if q.arf() != quadforms.arf_by_zero_count(q)
-        )
-        checks.append(check(f"arf_oracle_exhaustive[dim={dim}]", 0, bad))
-    rng = random.Random(checked_seed(seed))
-    dims = range(2, ORACLE_MAX_DIM + 1, 2)
-    bad = 0
-    for _ in range(ORACLE_SAMPLES):
-        dim = rng.choice(dims)
-        q = quadforms.QuadraticForm(dim, rng.randrange(1 << dim))
-        if q.arf() != quadforms.arf_by_zero_count(q):
-            bad += 1
-    checks.append(check(f"arf_oracle_random[samples={ORACLE_SAMPLES},max_dim={ORACLE_MAX_DIM}]", 0, bad))
-    return checks
+    quadforms._half_ones = {}  # each distinct half table once per call, dropped on return or raise
+    try:
+        checks = []
+        for dim in (2, 4, 6):
+            bad = sum(
+                1
+                for q in quadforms.all_forms(dim)
+                if q.arf() != quadforms.arf_by_zero_count(q)
+            )
+            checks.append(check(f"arf_oracle_exhaustive[dim={dim}]", 0, bad))
+        rng = random.Random(checked_seed(seed))
+        dims = range(2, ORACLE_MAX_DIM + 1, 2)
+        bad = 0
+        for _ in range(ORACLE_SAMPLES):
+            dim = rng.choice(dims)
+            q = quadforms.QuadraticForm(dim, rng.randrange(1 << dim))
+            if q.arf() != quadforms.arf_by_zero_count(q):
+                bad += 1
+        checks.append(check(f"arf_oracle_random[samples={ORACLE_SAMPLES},max_dim={ORACLE_MAX_DIM}]", 0, bad))
+        return checks
+    finally:
+        quadforms._half_ones = None
 
 
 SUITES = {

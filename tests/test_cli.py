@@ -317,6 +317,21 @@ def test_oracle_suite_fails_where_the_blocks_are_counted(monkeypatch, capsys):
     assert int(random_check["actual"]) > 0
 
 
+def test_etale_suite_fails_where_q_rho_is_read(monkeypatch, capsys):
+    # a vanishing count that selects q(rho) = 1, by flipping the cover's
+    # cross term, must fail every T_size check: its whole count is
+    # 2^(2b-2), which is odd at b = 1, and half of that is never T_size
+    pair_parity = etale._pair_parity
+    monkeypatch.setattr(etale, "_pair_parity", lambda word: pair_parity(word) ^ 1)
+    code, report = run_json(capsys, "verify", "--suite", "etale")
+    assert code == 1
+    sizes = [c for c in report["checks"] if c["name"].startswith("T_size[")]
+    assert len(sizes) == verify.T_SIZE_MAX_B
+    assert not any(c["pass"] for c in sizes)
+    assert sizes[0]["actual"] == "-1"  # b = 1: the odd whole count
+    assert all(c["pass"] for c in report["checks"] if c not in sizes)
+
+
 def test_unwritable_json_out_refused_before_the_suite_runs(monkeypatch, capsys):
     calls = []
 
@@ -469,23 +484,18 @@ def test_parser_is_built_once_per_process_not_at_import():
 
 
 def test_signatures_are_read_once_per_function_and_process():
-    # two calls of each count case read each function's signature once
+    # two calls of each count case read each function's parameters once: two
+    # reads of the code, two answers from the per-function cache
     code = textwrap.dedent("""
-        import collections, inspect
         import thetanulls.cli
-        reads = collections.Counter()
-        signature = inspect.signature
-        def counting(obj, *args, **kwargs):
-            reads[obj.__name__] += 1
-            return signature(obj, *args, **kwargs)
-        inspect.signature = counting
         for argv in (["count", "--case", "etale", "--b", "2"], ["count", "--case", "ramified", "--b", "1", "--r", "2"]) * 2:
             assert thetanulls.cli.main(argv) == 0
-        print(sorted(reads.items()))
+        info = thetanulls.cli._parameters.cache_info()
+        print(info.misses, info.hits)
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[('_etale_counts', 1), ('_ramified_counts', 1)]"
+    assert proc.stdout.splitlines()[-1] == "2 2"
 
 
 def test_no_state_crosses_calls_through_the_shared_parser(tmp_path, capsys):
@@ -514,11 +524,15 @@ def test_no_state_crosses_calls_through_the_shared_parser(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_process_pool():
-    # every call pays for what importing the CLI loads; verify runs in one process
+    # every call pays for what importing the CLI loads: verify runs in one
+    # process, the asymptotic ratio is an integer pair (no fractions, hence no
+    # decimal or numbers), the classes are Records and parameters are read
+    # off code (no dataclasses or inspect, hence no ast or dis)
     code = "import sys, thetanulls.cli; print(*{m.split('.')[0] for m in sys.modules})"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert {"concurrent", "multiprocessing"}.isdisjoint(proc.stdout.split())
+    unwanted = {"concurrent", "multiprocessing", "fractions", "decimal", "numbers", "dataclasses", "inspect", "ast", "dis"}
+    assert unwanted.isdisjoint(proc.stdout.split())
 
 
 OVER_BUDGET = {

@@ -69,3 +69,23 @@ def test_pairing_symmetric_in_char_two():
 def test_swap_pairs_is_involution():
     for bits in range(16):
         assert swap_pairs(swap_pairs(bits)) == bits
+
+
+def test_records_are_frozen_values():
+    # what the package's classes kept from frozen dataclasses: equality and
+    # hashing by fields within one class, the dataclass repr, no assignment
+    from thetanulls.etale import EtaleCoverSpec
+    from thetanulls.picard import LineBundleClass
+    from thetanulls.quadforms import QuadraticForm
+
+    q = QuadraticForm(4, 5)
+    assert q == QuadraticForm(4, 5) and hash(q) == hash(QuadraticForm(4, 5))
+    assert q != QuadraticForm(4, 6) and q != EtaleCoverSpec(4, 5) and q != (4, 5)
+    assert len({q, QuadraticForm(4, 5), EtaleCoverSpec(4, 5)}) == 2
+    assert repr(q) == "QuadraticForm(dim=4, basis_values=5)"
+    assert repr(LineBundleClass("elliptic", 1)) == "LineBundleClass(kind='elliptic', degree=1, torsion=())"
+    with pytest.raises(AttributeError):
+        q.dim = 6
+    with pytest.raises(AttributeError):
+        q.extra = 1
+    assert q.dim == 4

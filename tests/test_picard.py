@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import inspect
 import random
@@ -173,7 +172,8 @@ def test_sqrt_count_of_trivial_is_two_torsion_size():
 
 
 def test_base_genus_is_read_off_the_moduli():
-    assert [f.name for f in dataclasses.fields(BaseCurveModel)] == ["kind", "moduli"]
+    # b is no field: a model is written, compared and hashed by kind and moduli
+    assert repr(RationalModel()) == "BaseCurveModel(kind='rational', moduli=())"
     assert list(inspect.signature(BaseCurveModel).parameters) == ["kind", "moduli"]
     for model, b in ((RationalModel(), 0), (EllipticModel(240), 1), (GenericModel(3), 3)):
         assert model.b == b == len(model.moduli) // 2

@@ -1,6 +1,8 @@
 import random
 import tracemalloc
 
+from thetanulls import quadforms
+
 import pytest
 
 from thetanulls.gf2 import pairing
@@ -14,7 +16,7 @@ from thetanulls.quadforms import (
     value_table,
     zero_count,
 )
-from thetanulls.verify import ORACLE_MAX_DIM, oracle_suite
+from thetanulls.verify import ORACLE_MAX_DIM, ORACLE_SAMPLES, oracle_suite
 
 
 def vectors(dim):
@@ -152,6 +154,76 @@ def test_zero_count_never_builds_the_full_table():
     _carries.cache_clear()
     oracle_suite(0)
     assert _carries.cache_info().currsize == ORACLE_MAX_DIM // 2
+
+
+def _oracle_halves(seed):
+    """The (word, steps) half tables that oracle_suite(seed) reads, by
+    replaying its draws: every form of dimensions 2, 4 and 6, then the
+    seeded random forms."""
+    rng = random.Random(seed)
+    dims = range(2, ORACLE_MAX_DIM + 1, 2)
+    forms = [(dim, bv) for dim in (2, 4, 6) for bv in range(1 << dim)]
+    for _ in range(ORACLE_SAMPLES):
+        dim = rng.choice(dims)
+        forms.append((dim, rng.randrange(1 << dim)))
+    halves = set()
+    for dim, bv in forms:
+        low = 2 * (dim // 4)
+        halves |= {(bv & ((1 << low) - 1), low), (bv >> low, dim - low)}
+    return halves
+
+
+def test_oracle_run_builds_each_half_table_once(monkeypatch):
+    built = []
+
+    def counting(word, steps):
+        built.append((word, steps))
+        return value_table(word, steps)
+
+    monkeypatch.setattr(quadforms, "value_table", counting)
+    runs = []
+    for _ in range(2):
+        built.clear()
+        assert all(c["pass"] for c in oracle_suite(1))
+        runs.append(sorted(built))
+    # the memo lives one call: the second call builds every table again
+    assert runs[0] == runs[1] == sorted(_oracle_halves(1))
+    assert len(runs[0]) == 1320
+
+
+def test_oracle_memo_is_dropped_on_return_and_raise():
+    assert quadforms._half_ones is None
+    oracle_suite(0)
+    assert quadforms._half_ones is None
+    # a negative seed is refused after the exhaustive forms filled the memo
+    with pytest.raises(ValueError):
+        oracle_suite(-1)
+    assert quadforms._half_ones is None
+    # outside a run the zero count memoizes nothing
+    q = QuadraticForm(8, 0b10110110)
+    assert zero_count(q) == zero_count(q)
+    assert quadforms._half_ones is None
+
+
+def test_oracle_fails_on_one_wrong_half_table(monkeypatch):
+    # one flipped bit in one half table that seed 0's random forms read: the
+    # memo hands the wrong popcount to every form sharing that half, and no
+    # such count is a quadratic refinement's, so the random check fails
+    rng = random.Random(0)
+    dim = rng.choice(range(2, ORACLE_MAX_DIM + 1, 2))
+    bv = rng.randrange(1 << dim)
+    low = 2 * (dim // 4)
+    target = (bv >> low, dim - low)
+    assert target in _oracle_halves(0)
+
+    def flipped(word, steps):
+        return value_table(word, steps) ^ ((word, steps) == target)
+
+    monkeypatch.setattr(quadforms, "value_table", flipped)
+    checks = {c["name"]: c for c in oracle_suite(0)}
+    random_check = checks[f"arf_oracle_random[samples={ORACLE_SAMPLES},max_dim={ORACLE_MAX_DIM}]"]
+    assert random_check["actual"] > 0
+    assert quadforms._half_ones is None
 
 
 def test_value_table_independent_of_call_order():

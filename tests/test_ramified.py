@@ -9,6 +9,7 @@ import pytest
 from thetanulls.constructions import sample_bielliptic_spec
 from thetanulls.picard import EllipticModel, GenericModel, LineBundleClass, ModelError
 from thetanulls.ramified import (
+    MAX_GENUS,
     RamifiedCoverSpec,
     RamifiedThetaChar,
     asymptotic_ratio,
@@ -305,13 +306,26 @@ def test_binomial_identity_values():
 
 
 def test_asymptotic_ratio_values():
-    assert asymptotic_ratio(1, 5) == Fraction(5, 64)
-    assert asymptotic_ratio(0, 3) == 0
+    assert asymptotic_ratio(1, 5) == (5, 64)
+    assert asymptotic_ratio(0, 3) == (0, 1)
     # the first two ratios vanish exactly; growth is strict from r = 3 on
-    assert asymptotic_ratio(0, 2) == 0
-    assert asymptotic_ratio(0, 4) == Fraction(1, 32)
+    assert asymptotic_ratio(0, 2) == (0, 1)
+    assert asymptotic_ratio(0, 4) == (1, 32)
     for r in range(3, 60):
-        assert asymptotic_ratio(0, r) < asymptotic_ratio(0, r + 1)
+        assert Fraction(*asymptotic_ratio(0, r)) < Fraction(*asymptotic_ratio(0, r + 1))
+
+
+def test_asymptotic_ratio_is_the_reduced_fraction():
+    # every (b, r) up to the genus bound, g = 0 included, where the
+    # exponent 2b + 2r - 3 is -1: the pair is Fraction's, and its float
+    # division rounds as Fraction's float does
+    pairs = [(b, r) for b in range(24) for r in range(1, 201) if 2 * b + r - 1 <= MAX_GENUS]
+    assert len(pairs) == 576
+    for b, r in pairs:
+        exact = Fraction(closed_form_counts(b, r)["vanishing_lb"], 1) / Fraction(2) ** (2 * b + 2 * r - 3)
+        num, den = asymptotic_ratio(b, r)
+        assert (num, den) == (exact.numerator, exact.denominator), (b, r)
+        assert repr(num / den) == repr(float(exact)), (b, r)
 
 
 def test_asymptotic_ratio_independent_of_base_genus():

@@ -16,7 +16,7 @@ from thetanulls.cli import main
 # ASCII letters beside what JSON escapes: quote, backslash, control
 # characters, DEL, and non-ASCII in and beyond the BMP (a surrogate pair)
 CHARS = 'ab "\\/\x00\x01\x1f\x7f\n\r\té€ \U0001d53d'
-LEAVES = (True, False, None, 0, 1, -1, 2**64, -(2**64) - 1, 3**90, Fraction(3, 4), Fraction(-7, 3), Fraction(4, 2), "", '"', "\\")
+LEAVES = (True, False, None, 0, 1, -1, 2**64, -(2**64) - 1, 3**90, "", '"', "\\")
 
 
 def stdlib(value) -> str:
@@ -28,20 +28,18 @@ def _text(rng):
 
 
 def _value(rng, depth):
-    kind = rng.randrange(7 if depth else 4)
+    kind = rng.randrange(6 if depth else 3)
     if kind == 0:
         return rng.choice(LEAVES)
     if kind == 1:
         return rng.randrange(-(2**70), 2**70)
     if kind == 2:
         return _text(rng)
-    if kind == 3:
-        return Fraction(rng.randrange(-50, 50), rng.randrange(1, 50))
     size = rng.randrange(4)  # a quarter of the containers are empty
-    if kind == 4:
+    if kind == 3:
         return {_text(rng): _value(rng, depth - 1) for _ in range(size)}
     items = [_value(rng, depth - 1) for _ in range(size)]
-    return items if kind == 5 else tuple(items)
+    return items if kind == 4 else tuple(items)
 
 
 CORPUS = [_value(random.Random(seed), 4) for seed in range(300)]
@@ -53,7 +51,9 @@ def test_dumps_matches_the_stdlib_on_a_generated_corpus():
         assert report.dumps(value) == stdlib(value), i
 
 
-@pytest.mark.parametrize("value", [1.5, {1, 2}, object(), [b"bytes"], {(1, 2): "tuple key"}])
+# a Fraction too: int is the only number type a report holds, and the
+# asymptotic ratio reaches it already written as text
+@pytest.mark.parametrize("value", [1.5, {1, 2}, object(), [b"bytes"], {(1, 2): "tuple key"}, Fraction(3, 4)])
 def test_dumps_refuses_what_the_stdlib_refuses(value):
     with pytest.raises(TypeError):
         stdlib(value)
