@@ -175,7 +175,6 @@ def main(argv: list[str] | None = None) -> int:
         code = _run(args)
     except ValueError as exc:
         parser.error(str(exc))  # exits with status 2
-        return 2  # unreachable, keeps type checkers happy
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3

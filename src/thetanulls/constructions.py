@@ -101,12 +101,12 @@ def count_vanishing_genus6(N: int = DEFAULT_MODULUS, seed: int = 0) -> dict:
     generic = [tc for tc in vanishing if tc.subset_size < spec.r]
     extras = [tc for tc in vanishing if tc.subset_size == spec.r]
 
-    vanishing_set = set(vanishing)
     trivial = spec.model.trivial()
     forced_report = []
     for mask in FORCED_SUBSET_MASKS:
+        # a forced subset has size r, so its canonical pair is an extra or absent
         rep = canonicalize(spec, RamifiedThetaChar(trivial, mask))
-        present = rep in vanishing_set
+        present = rep in extras
         forced_report.append(
             {
                 "subset_indices": _mask_indices(mask),

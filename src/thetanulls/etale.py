@@ -171,10 +171,13 @@ def even_subspace(spec: EtaleCoverSpec) -> list[QuadraticForm]:
 
 def _triple_form(t1: EtaleThetaChar, t2: EtaleThetaChar, t3: EtaleThetaChar) -> QuadraticForm:
     """The form of t2 (x) t3 (x) t1^{-1}: t1 translated by the affine
-    differences that lead from it to t2 and to t3."""
+    differences from t1 to t2 and to t3, whose sum, t1 cancelling, is
+    the one affine difference from t2 to t3."""
     if isinstance(t1, int) or isinstance(t2, int) or isinstance(t3, int):
         raise ValueError("triple products are only defined within the form case")
-    return t1.translate(affine_difference(t1, t2) ^ affine_difference(t1, t3))
+    if t1.dim != t2.dim:
+        raise ValueError("forms live on different spaces")
+    return t1.translate(affine_difference(t2, t3))
 
 
 def triple_product(

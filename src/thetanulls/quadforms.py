@@ -22,7 +22,8 @@ The Arf oracle counts zeros on two orthogonal halves of the space, split
 at a hyperbolic-pair boundary: q vanishes on a sum exactly when its two
 half values agree, so two half-dimension popcounts count every zero and
 the full 2^dim-bit table is never built.  Halves repeat across an oracle
-run's forms, so ``verify.oracle_suite`` opens a memo of them for one call.
+run's forms, so their popcounts are cached, and ``verify.oracle_suite``
+clears that cache on entry and on return or raise.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Iterator
 from .gf2 import EVEN_POSITIONS, MAX_DIM, Record, swap_pairs
 
 VALUE_TABLE_MAX_DIM = 24  # bounds the carry cache, and the etale --rho count at b = 12
-_half_ones: dict[int, int] | None = None  # half-table popcounts, a dict only inside one oracle run
 
 
 def _pair_parity(word: int) -> int:
@@ -123,13 +123,11 @@ def value_table(basis_values: int, steps: int) -> int:
     return table
 
 
+@functools.cache
 def _ones(word: int, steps: int) -> int:
-    """Popcount of ``value_table(word, steps)``, word below 2^steps; built once while ``_half_ones`` is open."""
-    memo = {} if _half_ones is None else _half_ones
-    key = word | 1 << steps  # the bit above the word marks steps
-    if key not in memo:
-        memo[key] = value_table(word, steps).bit_count()
-    return memo[key]
+    """Popcount of ``value_table(word, steps)``, word below 2^steps; a zero
+    count's halves have at most 12 steps, so at most 5,461 entries."""
+    return value_table(word, steps).bit_count()
 
 
 def zero_count(q: QuadraticForm) -> int:

@@ -242,9 +242,10 @@ def closed_form_counts(b: int, r: int) -> dict:
     return {"total": total, "even": twice_even // 2, "odd": total - twice_even // 2, "vanishing_lb": vanishing_lb}
 
 
-def _gaussian_power(re: int, im: int, exponent: int) -> tuple[int, int]:
+def _gaussian_product(*factors: tuple[int, int]) -> tuple[int, int]:
+    """The product of Gaussian integers given as (real, imaginary) pairs."""
     out_re, out_im = 1, 0
-    for _ in range(exponent):
+    for re, im in factors:
         out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
     return out_re, out_im
 
@@ -263,19 +264,10 @@ def binomial_identity_check(r: int) -> bool:
         raise ValueError(f"identity check supported for 1 <= r <= {MAX_GENUS + 1}, got {r}")
     lhs = comb(2 * r, r) + 2 * sum(comb(2 * r, r - 4 * j) for j in range(1, r // 4 + 1))
     rhs = (1 << (2 * r - 2)) + (1 << (r - 1))
-    plus_re, plus_im = _gaussian_power(1, 1, 2 * r)
-    minus_re, minus_im = _gaussian_power(1, -1, 2 * r)
-    unit = [(1, 0), (0, 1), (-1, 0), (0, -1)][r % 4]  # i^r
-    conj = (unit[0], -unit[1])  # (-i)^r
-    filt_re = (
-        (1 << (2 * r))
-        + conj[0] * plus_re
-        - conj[1] * plus_im
-        + unit[0] * minus_re
-        - unit[1] * minus_im
-    )
-    filt_im = conj[0] * plus_im + conj[1] * plus_re + unit[0] * minus_im + unit[1] * minus_re
-    return lhs == rhs and filt_im == 0 and 4 * lhs == filt_re
+    plus_re, plus_im = _gaussian_product(*[(0, -1)] * r, *[(1, 1)] * (2 * r))  # (-i)^r (1+i)^(2r)
+    minus_re, minus_im = _gaussian_product(*[(0, 1)] * r, *[(1, -1)] * (2 * r))  # i^r (1-i)^(2r)
+    filt_re = (1 << (2 * r)) + plus_re + minus_re
+    return lhs == rhs and plus_im + minus_im == 0 and 4 * lhs == filt_re
 
 
 def asymptotic_ratio(b: int, r: int) -> tuple[int, int]:

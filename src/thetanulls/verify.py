@@ -136,7 +136,7 @@ def syzygetic_suite(max_b: int = 5) -> list[dict]:
 def oracle_suite(seed: int = 0) -> list[dict]:
     """Basis-formula Arf against the exhaustive zero-count oracle:
     every form up to dimension 6, then random forms up to ``ORACLE_MAX_DIM``."""
-    quadforms._half_ones = {}  # each distinct half table once per call, dropped on return or raise
+    quadforms._ones.cache_clear()  # each distinct half table once per call, dropped on return or raise
     try:
         checks = []
         for dim in (2, 4, 6):
@@ -157,7 +157,7 @@ def oracle_suite(seed: int = 0) -> list[dict]:
         checks.append(check(f"arf_oracle_random[samples={ORACLE_SAMPLES},max_dim={ORACLE_MAX_DIM}]", 0, bad))
         return checks
     finally:
-        quadforms._half_ones = None
+        quadforms._ones.cache_clear()
 
 
 SUITES = {

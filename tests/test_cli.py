@@ -332,6 +332,31 @@ def test_etale_suite_fails_where_q_rho_is_read(monkeypatch, capsys):
     assert all(c["pass"] for c in report["checks"] if c not in sizes)
 
 
+def _fails_identities(capsys):
+    code, report = run_json(capsys, "verify", "--suite", "identities")
+    assert code == 1
+    return [c["name"] for c in report["checks"] if not c["pass"]]
+
+
+def test_identities_suite_fails_on_a_flipped_gaussian_sign(monkeypatch, capsys):
+    # the real part's cross term added, not subtracted: the filter sum is wrong
+    def flipped(*factors):
+        out_re, out_im = 1, 0
+        for re, im in factors:
+            out_re, out_im = out_re * re + out_im * im, out_re * im + out_im * re
+        return out_re, out_im
+
+    monkeypatch.setattr(ramified, "_gaussian_product", flipped)
+    assert _fails_identities(capsys)
+
+
+def test_identities_suite_fails_on_a_binomial_off_by_one_at_k0(monkeypatch, capsys):
+    # C(2r, 0) is read at r = 4j only, so r = 4 is the first failure
+    monkeypatch.setattr(ramified, "comb", lambda n, k: comb(n, k) + (k == 0))
+    failed = _fails_identities(capsys)
+    assert failed[0] == "binomial_identity[r=4]"
+
+
 def test_unwritable_json_out_refused_before_the_suite_runs(monkeypatch, capsys):
     calls = []
 

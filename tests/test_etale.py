@@ -16,7 +16,8 @@ from thetanulls.etale import (
     triple_product,
     vanishing_thetanulls,
 )
-from thetanulls.quadforms import QuadraticForm, _carries, all_forms
+from thetanulls.gf2 import pairing
+from thetanulls.quadforms import QuadraticForm, _carries, affine_difference, all_forms, value_table
 
 
 def test_spec_validation():
@@ -203,6 +204,37 @@ def test_even_subspace_closed_under_triple_products():
             product = triple_product(spec, t1, t2, t3)
             assert product in members
             assert parity_etale(spec, product) == triple_parity(spec, t1, t2, t3)
+
+
+def test_triple_product_is_the_sum_of_its_factors():
+    # q2 + q3 - q1 is q1 + q2 + q3 over GF(2): the product's value table is the
+    # XOR of its factors' tables, up to the e(rho, .) table of the canonical
+    # translate, and its parity is bit rho of that XOR
+    rng = random.Random(37)
+    for b in (2, 3):
+        spec = EtaleCoverSpec.default(b)
+        dim, rho = 2 * b, spec.cover_class
+        translate_table = sum(pairing(rho, v) << v for v in range(1 << dim))
+        triples = list(itertools.product(even_subspace(spec), repeat=3))
+        triples += [tuple(QuadraticForm(dim, rng.randrange(1 << dim)) for _ in range(3)) for _ in range(300)]
+        for triple in triples:
+            summed = 0
+            for t in triple:
+                summed ^= value_table(t.basis_values, dim)
+            product = value_table(triple_product(spec, *triple).basis_values, dim)
+            assert product in (summed, summed ^ translate_table)
+            assert triple_parity(spec, *triple) == (summed >> rho) & 1
+
+
+def test_forms_on_different_spaces_are_refused():
+    spec = EtaleCoverSpec.default(2)
+    small, form = QuadraticForm(2, 0b01), QuadraticForm(4, 0b0110)
+    with pytest.raises(ValueError, match="forms live on different spaces"):
+        affine_difference(small, form)
+    for triple in ((small, form, form), (form, small, form), (form, form, small)):
+        for route in (triple_parity, triple_product):
+            with pytest.raises(ValueError, match="forms live on different spaces"):
+                route(spec, *triple)
 
 
 def test_counts_independent_of_cover_class():

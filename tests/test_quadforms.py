@@ -192,17 +192,15 @@ def test_oracle_run_builds_each_half_table_once(monkeypatch):
 
 
 def test_oracle_memo_is_dropped_on_return_and_raise():
-    assert quadforms._half_ones is None
+    # a direct zero count fills the cache; an oracle run leaves it empty
+    zero_count(QuadraticForm(8, 0b10110110))
+    assert quadforms._ones.cache_info().currsize > 0
     oracle_suite(0)
-    assert quadforms._half_ones is None
+    assert quadforms._ones.cache_info().currsize == 0
     # a negative seed is refused after the exhaustive forms filled the memo
     with pytest.raises(ValueError):
         oracle_suite(-1)
-    assert quadforms._half_ones is None
-    # outside a run the zero count memoizes nothing
-    q = QuadraticForm(8, 0b10110110)
-    assert zero_count(q) == zero_count(q)
-    assert quadforms._half_ones is None
+    assert quadforms._ones.cache_info().currsize == 0
 
 
 def test_oracle_fails_on_one_wrong_half_table(monkeypatch):
@@ -223,7 +221,7 @@ def test_oracle_fails_on_one_wrong_half_table(monkeypatch):
     checks = {c["name"]: c for c in oracle_suite(0)}
     random_check = checks[f"arf_oracle_random[samples={ORACLE_SAMPLES},max_dim={ORACLE_MAX_DIM}]"]
     assert random_check["actual"] > 0
-    assert quadforms._half_ones is None
+    assert quadforms._ones.cache_info().currsize == 0
 
 
 def test_value_table_independent_of_call_order():

@@ -8,8 +8,9 @@ methods and ``__version__`` are left out because Python and packaging
 read them implicitly.  The oracles that exist only to cross-check a
 primary path are named below.
 
-The package also stays stdlib-only: it imports nothing from outside the
-standard library.
+Every name a module imports is read in that module, so no import is
+kept for the tests or the benchmark alone.  The package also stays
+stdlib-only: it imports nothing from outside the standard library.
 """
 
 import ast
@@ -71,6 +72,22 @@ def test_no_definition_is_reached_only_from_tests():
             ):
                 unused.append(qualname)
     assert unused == []
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read:
+                        unread.append((path.name, bound))
+    assert unread == []
 
 
 def test_package_init_imports_nothing_and_assigns_only_the_version():
