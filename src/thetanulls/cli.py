@@ -114,7 +114,7 @@ def _run(args) -> int:
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --json-out: {exc}") from exc
-    sys.stdout.write(render_pretty(report) if args.pretty else text)
+    sys.stdout.write(render_pretty(text) if args.pretty else text)
     return 0 if report.get("checks_passed", True) else 1
 
 

@@ -6,28 +6,15 @@ as text, an exact fraction and a decimal rendering.  Identical
 inputs produce byte-identical reports, so nothing time- or
 machine-dependent belongs here.
 
-A report holds raw results.  ``dumps`` writes them in one walk, as
-``json.dumps(stringify(report), indent=2)`` would in two (the indenting
-encoder is pure Python); only ``--pretty`` stringifies.
+A report holds raw results.  ``dumps`` writes them in one walk, each
+integer as its decimal string; ``--pretty`` renders that text, so
+``_encode`` alone decides how a value is written.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-
-
-def stringify(value):
-    """Recursively convert exact numbers to strings for JSON output."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: stringify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [stringify(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def check(name: str, expected, actual) -> dict:
@@ -45,8 +32,8 @@ def build_report(command: str, parameters: dict, results: dict | list[dict]) -> 
 
 
 def _encode(value, pad: str) -> str:
-    """``json.dumps(stringify(value), indent=2)``, each line after the first
-    indented by ``pad`` more; keys are names, so a non-string key is refused."""
+    """``json.dumps(value, indent=2)`` with each integer as its decimal string, each line
+    after the first indented by ``pad`` more; keys are names, so a non-string key is refused."""
     if isinstance(value, str):
         return _quote(value)
     if value is None or isinstance(value, bool):
@@ -80,9 +67,9 @@ def _pretty_lines(prefix: str, value) -> list[str]:
     return [f"{prefix} = {value}"]
 
 
-def render_pretty(report: dict) -> str:
-    """Human-readable view of the same data as the JSON report."""
-    report = stringify(report)
+def render_pretty(text: str) -> str:
+    """Human-readable view of the JSON report text ``dumps`` wrote."""
+    report = json.loads(text)
     lines = [f"command: {report['command']}"]
     for key in ("parameters", "results"):
         if report.get(key):

@@ -136,6 +136,7 @@ def syzygetic_suite(max_b: int = 5) -> list[dict]:
 def oracle_suite(seed: int = 0) -> list[dict]:
     """Basis-formula Arf against the exhaustive zero-count oracle:
     every form up to dimension 6, then random forms up to ``ORACLE_MAX_DIM``."""
+    rng = random.Random(checked_seed(seed))
     quadforms._ones.cache_clear()  # each distinct half table once per call, dropped on return or raise
     try:
         checks = []
@@ -146,7 +147,6 @@ def oracle_suite(seed: int = 0) -> list[dict]:
                 if q.arf() != quadforms.arf_by_zero_count(q)
             )
             checks.append(check(f"arf_oracle_exhaustive[dim={dim}]", 0, bad))
-        rng = random.Random(checked_seed(seed))
         dims = range(2, ORACLE_MAX_DIM + 1, 2)
         bad = 0
         for _ in range(ORACLE_SAMPLES):

@@ -17,7 +17,7 @@ import pytest
 
 from thetanulls import constructions, etale, quadforms, ramified, verify
 from thetanulls.cli import COMMANDS, build_parser, main
-from thetanulls.report import check
+from thetanulls.report import check, render_pretty
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +272,18 @@ def test_negative_seed_refused_before_any_cell_runs(monkeypatch, capsys):
     assert sizes == []
 
 
+def test_negative_seed_refused_before_any_oracle_call(monkeypatch, capsys):
+    # the oracle suite's exhaustive cells use no seed, yet the seed is refused before them
+    calls = []
+    original = quadforms.arf_by_zero_count
+    monkeypatch.setattr(quadforms, "arf_by_zero_count", lambda q: calls.append(q) or original(q))
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "oracle", "--seed", "-1"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith("error: seed must be a non-negative integer, got -1\n")
+    assert calls == []
+
+
 def test_every_parameter_is_a_flag_of_its_subcommand():
     # a parameter no flag can set would be a knob only code could turn
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -457,6 +469,17 @@ def test_refused_or_failed_run_leaves_json_out_intact(tmp_path, capsys):
         assert target.read_bytes() == b'{"old": 1}', argv
         assert not missing.exists(), argv
     capsys.readouterr()
+
+
+def test_pretty_json_out_writes_the_plain_report(tmp_path, capsys):
+    # --json-out gets the JSON text whatever stdout gets; --pretty renders that text
+    target = tmp_path / "report.json"
+    argv = ["count", "--case", "etale", "--b", "3", "--rho", "010000"]
+    _, plain = run_cli(capsys, *argv)
+    _, out = run_cli(capsys, *argv, "--pretty", "--json-out", str(target))
+    assert target.read_text() == plain
+    assert out == render_pretty(target.read_text())
+    assert "  T_size_enumerated = 6" in out.splitlines()
 
 
 def test_pretty_renders_same_data(capsys):
